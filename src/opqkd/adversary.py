@@ -20,8 +20,6 @@ from .qcore import (
     basis_ket,
     canonical_phase,
     projective_measure,
-    states_equivalent,
-    states_orthogonal,
     tensor,
 )
 from .stateset import StateSet, bob_basis
@@ -78,20 +76,17 @@ def conditional_b_basis(state_set: StateSet, a_outcome: int) -> MeasurementBasis
     n = state_set.n
     if not 0 <= a_outcome < n:
         raise ValueError(f"A outcome {a_outcome} out of range for dimension {n}")
-    distinct: list[Ket] = []
-    for st in state_set:
-        if abs(st.ket_a.amps[a_outcome]) <= ATOL_STATE:
-            continue
-        ket = canonical_phase(st.ket_b)
-        if any(states_equivalent(ket, v) for v in distinct):
-            continue
-        for v in distinct:
-            if not states_orthogonal(ket, v):
-                raise InvalidSetError(
-                    f"B-parts overlapping A outcome {a_outcome} are not "
-                    "mutually orthogonal"
-                )
-        distinct.append(ket)
+    parts = [st.ket_b for st in state_set if abs(st.ket_a.amps[a_outcome]) > ATOL_STATE]
+    # reshape keeps an empty selection a 0 x n matrix.
+    amps = np.array([k.amps for k in parts], dtype=np.complex128).reshape(len(parts), n)
+    overlaps = np.abs(amps.conj() @ amps.T)
+    equivalent = np.abs(overlaps - 1.0) <= ATOL_STATE
+    if np.any(~equivalent & (overlaps > ATOL_STATE)):
+        raise InvalidSetError(
+            f"B-parts overlapping A outcome {a_outcome} are not mutually orthogonal"
+        )
+    first = ~np.tril(equivalent, -1).any(axis=1)
+    distinct = [canonical_phase(k) for k, keep in zip(parts, first) if keep]
     return MeasurementBasis(_complete_orthonormal(distinct, n))
 
 
@@ -194,10 +189,11 @@ class SubstituteCollective(EveStrategy):
     def __init__(self, state_set: StateSet):
         super().__init__(_require_set(state_set))
         self._joint_basis = bob_basis(state_set)
+        self._substitutes = tuple(basis_ket(state_set.n, k) for k in range(state_set.n))
 
     def _intercept_first(self, rnd: EveRound, ket_a: Ket, rng: RngStream) -> Ket:
         rnd.stored_a = ket_a
-        return basis_ket(self.state_set.n, rng.integers(self.state_set.n))
+        return self._substitutes[rng.integers(self.state_set.n)]
 
     def _intercept_second(self, rnd: EveRound, ket_b: Ket, rng: RngStream) -> Ket:
         joint = tensor(rnd.stored_a, ket_b)
@@ -220,20 +216,18 @@ _STRATEGIES: dict[str, type[EveStrategy]] = {
 STRATEGY_NAMES = ("none", "intercept", "complementary", "substitute")
 
 
-def canonical_variant(name: str) -> str:
-    """Map a short or full strategy name to its canonical variant string."""
+def _strategy_class(name: str) -> type[EveStrategy]:
     try:
-        return _STRATEGIES[name].variant
+        return _STRATEGIES[name]
     except KeyError:
         raise ValueError(f"unknown strategy {name!r}; choose from {STRATEGY_NAMES}") from None
+
+
+def canonical_variant(name: str) -> str:
+    """Map a short or full strategy name to its canonical variant string."""
+    return _strategy_class(name).variant
 
 
 def make_strategy(name: str, state_set: StateSet | None = None) -> EveStrategy:
     """Build a strategy by short or full variant name."""
-    try:
-        cls = _STRATEGIES[name]
-    except KeyError:
-        raise ValueError(f"unknown strategy {name!r}; choose from {STRATEGY_NAMES}") from None
-    if cls is EveStrategy:
-        return EveStrategy(state_set)
-    return cls(_require_set(state_set))
+    return _strategy_class(name)(state_set)

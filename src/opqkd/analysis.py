@@ -104,14 +104,12 @@ def p_recurrence_step(prev: float, m: int, vertical_fourth_moments: float) -> fl
         raise ValueError("the odd recurrence starts at m = 2")
     if not 0.0 <= prev <= 1.0:
         raise ValueError("prev must be a probability")
-    size = 2 * m + 1
-    return ((2 * m - 1) ** 2 * prev + 4 * m + vertical_fourth_moments) / (size * size)
+    return _growth_step(prev, 2 * m + 1, vertical_fourth_moments)
 
 
-def _even_step(prev: float, m: int, vertical_fourth_moments: float) -> float:
-    # Same growth step written for the even chain: dimension 2m from 2m-2.
-    size = 2 * m
-    return ((2 * m - 2) ** 2 * prev + 2 * (2 * m - 1) + vertical_fourth_moments) / (size * size)
+def _growth_step(prev: float, size: int, vertical_fourth_moments: float) -> float:
+    # Dimension `size` from dimension size - 2, for the odd and the even chain.
+    return ((size - 2) ** 2 * prev + 2 * (size - 1) + vertical_fourth_moments) / (size * size)
 
 
 def min_p_odd(m: int, verify_with_oracle: bool = False) -> float:
@@ -141,7 +139,7 @@ def min_p_even(m: int, verify_with_oracle: bool = False) -> float:
     closed = 0.5 + 1.0 / (2.0 * m)
     recurred = 3.0 / 4.0
     for k in range(3, m + 1):
-        recurred = _even_step(recurred, k, 2.0)
+        recurred = _growth_step(recurred, 2 * k, 2.0)
     if abs(closed - recurred) > RECURRENCE_ATOL:
         raise AssertionError(
             f"closed form {closed!r} and recurrence {recurred!r} disagree at m={m}"
@@ -172,11 +170,10 @@ def monte_carlo_estimate(
     if trials < 1:
         raise InsufficientDataError("need at least one trial")
     name = canonical_variant(variant)
-    strategy = make_strategy(name, state_set if name != "none" else None)
+    strategy = make_strategy(name, state_set)
     joint = bob_basis(state_set)
     successes = 0
-    for trial in range(trials):
-        rng = RngStream(seed, trial)
+    for trial, rng in enumerate(RngStream.consecutive(seed, trials)):
         alice, bob, _ = run_round(state_set, joint, strategy, trial, rng)
         successes += int(alice == bob)
     low, high = wilson_interval(successes, trials)

@@ -15,6 +15,7 @@ import sys
 import tempfile
 
 from .adversary import (
+    STRATEGY_NAMES,
     ConditionalInterceptResend,
     canonical_variant,
     conditional_b_basis,
@@ -38,6 +39,7 @@ from .stateset import (
 
 SEED_ENV_VAR = "OPQKD_SEED"
 _KEY_PREVIEW_BITS = 64
+_ATTACKS = tuple(name for name in STRATEGY_NAMES if name != "none")
 
 
 def _write_atomic(path: str, text: str) -> None:
@@ -168,7 +170,7 @@ def _key_material(key_indices: tuple[int, ...], n_squared: int) -> tuple[int, st
 def cmd_simulate(args) -> int:
     state_set, desc = _load_set(args)
     seed = _resolve_seed(args)
-    strategy = make_strategy(args.strategy, state_set if args.strategy != "none" else None)
+    strategy = make_strategy(args.strategy, state_set)
     config = ProtocolConfig(state_set, args.rounds, args.check_fraction, seed, strategy)
     result = run_session(config)
     summary = summarize_session(result)
@@ -339,8 +341,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run a full session")
     _add_set_args(p)
     _add_seed_arg(p)
-    p.add_argument("--strategy", choices=("none", "intercept", "complementary", "substitute"),
-                   default="none")
+    p.add_argument("--strategy", choices=STRATEGY_NAMES, default="none")
     p.add_argument("--rounds", type=int, default=10000)
     p.add_argument("--check-fraction", type=float, default=0.1)
     p.add_argument("--output", default=None, help="write the report here instead of stdout")
@@ -351,16 +352,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("exact", help="exact survival probability by enumeration")
     _add_set_args(p)
-    p.add_argument("--strategy", choices=("intercept", "complementary", "substitute"),
-                   default="intercept")
+    p.add_argument("--strategy", choices=_ATTACKS, default="intercept")
     p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_exact)
 
     p = sub.add_parser("sweep", help="survival probability across dimensions, as CSV")
     _add_seed_arg(p)
     p.add_argument("--max-dim", type=int, default=9)
-    p.add_argument("--strategy", choices=("intercept", "complementary", "substitute"),
-                   default="intercept")
+    p.add_argument("--strategy", choices=_ATTACKS, default="intercept")
     p.add_argument("--trials", type=int, default=0,
                    help="Monte Carlo trials per dimension (0 disables)")
     p.add_argument("--exact-budget", type=int, default=9,

@@ -94,8 +94,7 @@ def run_session(config: ProtocolConfig) -> SessionResult:
 
     outcomes: list[tuple[int, int]] = []
     eve_records: list[EveRecord] = []
-    for round_id in range(config.rounds):
-        rng = RngStream(config.seed, round_id)
+    for round_id, rng in enumerate(RngStream.consecutive(config.seed, config.rounds)):
         alice, bob, eve_rec = run_round(state_set, joint, strategy, round_id, rng)
         outcomes.append((alice, bob))
         eve_records.append(eve_rec)

@@ -2,7 +2,7 @@
 and keyed deterministic random streams."""
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -69,8 +69,13 @@ def inner(x: Ket, y: Ket) -> complex:
 
 
 def tensor(a: Ket, b: Ket) -> Ket:
-    """Joint state a (x) b; index convention is first-factor-major."""
-    return Ket(np.kron(a.amps, b.amps))
+    """Joint state a (x) b; index convention is first-factor-major. The
+    product of two checked kets is wrapped without checking it again."""
+    amps = np.multiply.outer(a.amps, b.amps).reshape(-1)
+    amps.setflags(write=False)
+    joint = object.__new__(Ket)
+    object.__setattr__(joint, "amps", amps)
+    return joint
 
 
 def canonical_phase(ket: Ket) -> Ket:
@@ -175,6 +180,19 @@ class RngStream:
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError("RngStream identity is immutable")
 
+    @classmethod
+    def consecutive(cls, seed: int, count: int) -> Iterator["RngStream"]:
+        """The streams (seed, 0), ..., (seed, count - 1), in order. They give
+        the same draws as streams built one by one, but are one object whose
+        generator is re-keyed in place: each is valid until the next is taken."""
+        stream = cls(seed, 0)
+        state = stream._gen.bit_generator.state  # zero counter, empty buffers
+        for stream_id in range(count):
+            state["state"]["key"][1] = stream_id
+            stream._gen.bit_generator.state = state
+            object.__setattr__(stream, "stream_id", stream_id)
+            yield stream
+
     def integers(self, upper: int) -> int:
         """Uniform integer in [0, upper)."""
         if upper < 1:
@@ -206,7 +224,7 @@ def projective_measure(state: Ket, basis: MeasurementBasis, rng: RngStream) -> t
     if total <= 0.0:
         raise ValueError("outcome distribution sums to zero")
     u = rng.random() * total
-    cumulative = np.cumsum(probs)
-    index = int(np.searchsorted(cumulative, u, side="right"))
+    cumulative = probs.cumsum()
+    index = int(cumulative.searchsorted(u, side="right"))
     index = min(index, len(basis) - 1)
     return index, basis._canonical[index]

@@ -23,7 +23,6 @@ from .qcore import (
     MeasurementBasis,
     basis_ket,
     states_equivalent,
-    states_orthogonal,
     tensor,
 )
 
@@ -206,10 +205,15 @@ class StateSet:
                 raise InvalidSetError("states must be listed in label order")
             if st.ket_a.dim != n or st.ket_b.dim != n:
                 raise InvalidSetError("subsystem dimension must match the layout")
-        joint = np.stack([st.joint().amps for st in states])
-        gram = joint.conj() @ joint.T
+        # <A_i (x) B_i|A_j (x) B_j> = <A_i|A_j> <B_i|B_j>, so the joint Gram
+        # matrix is the elementwise product of the two single-particle ones.
+        amps_a = np.stack([st.ket_a.amps for st in states])
+        amps_b = np.stack([st.ket_b.amps for st in states])
+        gram = amps_a.conj() @ amps_a.T
+        gram *= amps_b.conj() @ amps_b.T
         if not np.allclose(gram, np.eye(n * n), atol=ATOL_EXACT, rtol=0.0):
             raise InvalidSetError("joint states must form a complete orthonormal set")
+        joint = np.stack([st.joint().amps for st in states])
         joint.setflags(write=False)
         self._check_layout_consistency(states, layout)
         object.__setattr__(self, "states", states)
@@ -285,10 +289,6 @@ def _shift_tile(tile: Tile, offset: int) -> Tile:
     return Tile(tile.orientation, tile.fixed_index + offset, cells, tile.amplitudes, tile.state_indices)
 
 
-def _relabel_tile(tile: Tile, new_labels: Sequence[int]) -> Tile:
-    return Tile(tile.orientation, tile.fixed_index, tile.cells, tile.amplitudes, tuple(new_labels))
-
-
 def _symmetric_tiles(n: int) -> tuple[Tile, ...]:
     if n == 3:
         h = _SQRT_HALF
@@ -361,24 +361,23 @@ class ConditionReport:
         return tuple(sorted(out))
 
 
-def _has_oblique_partner(kets: Sequence[Ket], i: int) -> bool:
-    me = kets[i]
-    for j, other in enumerate(kets):
-        if j == i:
-            continue
-        if not states_equivalent(me, other) and not states_orthogonal(me, other):
-            return True
-    return False
+def _oblique_partners(kets: Sequence[Ket]) -> tuple[bool, ...]:
+    # Row i of the |Gram| matrix, one row at a time so that the whole
+    # n^2 x n^2 matrix never exists; the diagonal entry is 1, never oblique.
+    amps = np.stack([k.amps for k in kets])
+    out = []
+    for row in amps.conj():
+        overlaps = np.abs(amps @ row)
+        out.append(bool(np.any((overlaps > ATOL_STATE) & (np.abs(overlaps - 1.0) > ATOL_STATE))))
+    return tuple(out)
 
 
 def check_conditions(state_set: StateSet) -> ConditionReport:
     """Check that no single-particle measurement can pin down any state:
     every state must have, on each subsystem, a partner that is neither
     equivalent nor orthogonal to it."""
-    kets_a = [st.ket_a for st in state_set]
-    kets_b = [st.ket_b for st in state_set]
-    ok_a = tuple(_has_oblique_partner(kets_a, i) for i in range(len(kets_a)))
-    ok_b = tuple(_has_oblique_partner(kets_b, i) for i in range(len(kets_b)))
+    ok_a = _oblique_partners([st.ket_a for st in state_set])
+    ok_b = _oblique_partners([st.ket_b for st in state_set])
     return ConditionReport(state_set.n, ok_a, ok_b)
 
 
@@ -389,22 +388,6 @@ def _tile_cellsets(layout: DominoLayout) -> list[frozenset[tuple[int, int]]]:
 def _invariant_under(cellsets: list[frozenset[tuple[int, int]]], image) -> bool:
     seen = set(cellsets)
     return all(frozenset(image(c) for c in tile) in seen for tile in cellsets)
-
-
-def _cycle_lengths(perm: Sequence[int]) -> list[int]:
-    seen = [False] * len(perm)
-    out = []
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        k = start
-        while not seen[k]:
-            seen[k] = True
-            k = perm[k]
-            length += 1
-        out.append(length)
-    return sorted(out)
 
 
 def _search_relabeled_rotation(layout: DominoLayout) -> bool:
@@ -425,7 +408,6 @@ def _search_relabeled_rotation(layout: DominoLayout) -> bool:
     if len(rows) != len(cols):
         return False
 
-    reversal_cycles = [1] * (n % 2) + [2] * (n // 2)
     single_rows: dict[int, set[int]] = {}
     for i, j in singles:
         single_rows.setdefault(i, set()).add(j)
@@ -458,7 +440,7 @@ def _search_relabeled_rotation(layout: DominoLayout) -> bool:
             candidates[i] = candidates[i] & frozenset(targets)
         if any(not c for c in candidates):
             continue
-        if _complete_beta(layout, alpha, candidates, reversal_cycles):
+        if _complete_beta(layout, alpha, candidates):
             return True
     return False
 
@@ -467,7 +449,6 @@ def _complete_beta(
     layout: DominoLayout,
     alpha: Sequence[int],
     candidates: list[frozenset[int]],
-    reversal_cycles: list[int],
 ) -> bool:
     n = layout.n
     order = sorted(range(n), key=lambda i: len(candidates[i]))
@@ -480,8 +461,11 @@ def _complete_beta(
             image = lambda cell: (alpha[cell[1]], beta[cell[0]])
             if not _invariant_under(cellsets, image):
                 return False
+            # alpha o beta must be an involution with n % 2 fixed points,
+            # the cycle structure of an index reversal.
             combined = [alpha[beta[x]] for x in range(n)]
-            return _cycle_lengths(combined) == reversal_cycles
+            fixed = sum(combined[x] == x for x in range(n))
+            return fixed == n % 2 and all(combined[combined[x]] == x for x in range(n))
         i = order[pos]
         for value in sorted(candidates[i] - used):
             beta[i] = value
@@ -556,20 +540,23 @@ def stateset_from_text(text: str) -> StateSet:
         raise InvalidSetError(f"unparseable state-set text: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format") != _FORMAT_TAG:
         raise InvalidSetError("not a recognized state-set document")
-    n = int(doc["n"])
-    tiles = tuple(
-        Tile(
-            rec["orientation"],
-            int(rec["fixed_index"]),
-            tuple((int(a), int(b)) for a, b in rec["cells"]),
-            np.array([_from_pairs(row) for row in rec["amplitudes"]]),
-            tuple(int(k) for k in rec["state_indices"]),
+    try:
+        n = int(doc["n"])
+        tiles = tuple(
+            Tile(
+                rec["orientation"],
+                int(rec["fixed_index"]),
+                tuple((int(a), int(b)) for a, b in rec["cells"]),
+                np.array([_from_pairs(row) for row in rec["amplitudes"]]),
+                tuple(int(k) for k in rec["state_indices"]),
+            )
+            for rec in doc["tiles"]
         )
-        for rec in doc["tiles"]
-    )
-    layout = DominoLayout(n, tiles)
-    states = tuple(
-        ProductState(int(rec["index"]), Ket(_from_pairs(rec["ket_a"])), Ket(_from_pairs(rec["ket_b"])))
-        for rec in sorted(doc["states"], key=lambda r: int(r["index"]))
-    )
+        layout = DominoLayout(n, tiles)
+        states = tuple(
+            ProductState(int(rec["index"]), Ket(_from_pairs(rec["ket_a"])), Ket(_from_pairs(rec["ket_b"])))
+            for rec in sorted(doc["states"], key=lambda r: int(r["index"]))
+        )
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise InvalidSetError(f"malformed state-set document: {exc!r}") from exc
     return StateSet(states, layout)

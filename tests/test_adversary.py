@@ -1,5 +1,10 @@
+import cmath
+import math
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as hst
 
 from conftest import random_parameters
 from opqkd import (
@@ -9,18 +14,22 @@ from opqkd import (
     MeasureSecondOnly,
     ProtocolOrderError,
     RngStream,
+    SetParameters,
     SubstituteCollective,
     basis_ket,
     bob_basis,
     build_3x3,
     build_symmetric,
+    check_conditions,
     conditional_b_basis,
     make_strategy,
     normalize,
     run_round,
     states_equivalent,
+    states_orthogonal,
 )
 from opqkd.adversary import canonical_variant
+from opqkd.qcore import ATOL_STATE
 
 
 def test_conditional_basis_balanced_3x3():
@@ -80,6 +89,72 @@ def test_conditional_basis_rejects_oblique_b_parts():
 
     with pytest.raises(InvalidSetError):
         conditional_b_basis(FakeSet(), 0)
+
+
+def test_conditional_basis_without_overlapping_states_is_computational():
+    class FakeSet:
+        n = 3
+
+        def __iter__(self):
+            yield SimpleNamespace(ket_a=basis_ket(3, 0), ket_b=normalize([1, 1, 0]))
+            yield SimpleNamespace(ket_a=basis_ket(3, 1), ket_b=normalize([1, -1, 0]))
+
+    assert np.array_equal(conditional_b_basis(FakeSet(), 2).matrix, np.eye(3))
+
+
+_phase = hst.floats(0.0, 2.0 * math.pi)
+
+
+@hst.composite
+def _unit_pair(draw):
+    # |x| is 0 or 1 (degenerate) or strictly between (generic).
+    px, py = cmath.exp(1j * draw(_phase)), cmath.exp(1j * draw(_phase))
+    kind = draw(hst.sampled_from(("x", "y", "generic")))
+    if kind == "x":
+        return px, 0j
+    if kind == "y":
+        return 0j, py
+    theta = draw(hst.floats(0.05, math.pi / 2 - 0.05))
+    return math.cos(theta) * px, math.sin(theta) * py
+
+
+def _pairwise_oblique(kets, i):
+    return any(
+        not states_equivalent(kets[i], k) and not states_orthogonal(kets[i], k)
+        for j, k in enumerate(kets) if j != i
+    )
+
+
+def _pairwise_distinct_b_parts(s, m):
+    distinct = []
+    for st in s:
+        if abs(st.ket_a.amps[m]) <= ATOL_STATE:
+            continue
+        if any(states_equivalent(st.ket_b, v) for v in distinct):
+            continue
+        if not all(states_orthogonal(st.ket_b, v) for v in distinct):
+            return None
+        distinct.append(st.ket_b)
+    return distinct
+
+
+@settings(max_examples=60, deadline=None)
+@given(hst.lists(_unit_pair(), min_size=4, max_size=4))
+def test_overlap_decisions_match_pairwise_definition(pairs):
+    s = build_3x3(SetParameters(*(z for pair in pairs for z in pair)))
+    report = check_conditions(s)
+    kets_a = [st.ket_a for st in s]
+    kets_b = [st.ket_b for st in s]
+    assert report.ok_a == tuple(_pairwise_oblique(kets_a, i) for i in range(9))
+    assert report.ok_b == tuple(_pairwise_oblique(kets_b, i) for i in range(9))
+    for m in range(3):
+        distinct = _pairwise_distinct_b_parts(s, m)
+        if distinct is None:
+            with pytest.raises(InvalidSetError):
+                conditional_b_basis(s, m)
+            continue
+        vectors = conditional_b_basis(s, m).vectors
+        assert all(states_equivalent(u, v) for u, v in zip(distinct, vectors))
 
 
 def test_strategy_enforces_leg_order():

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import json
 import math
 import os
 
@@ -92,6 +93,17 @@ def test_validate_export_round_trip(tmp_path):
     report = read_report(reread)
     assert report["verdict"] == "pass"
     assert report["set"] == f"file:{exported}"
+
+
+def test_validate_malformed_set_file_fails_cleanly(tmp_path):
+    doc = json.loads(stateset_to_text(build_symmetric(3)))
+    del doc["n"]
+    bad = tmp_path / "missing-n.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["validate", "--set-file", str(bad)]) == 1
+    assert "verdict = fail" in out.getvalue()
 
 
 def test_missing_set_file_exits_3(tmp_path):

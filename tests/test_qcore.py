@@ -83,6 +83,15 @@ def test_tensor_index_convention():
     assert np.allclose(joint.amps, expected)
 
 
+def test_tensor_matches_kron_bytes():
+    rng = np.random.default_rng(8)
+    for _ in range(20):
+        a, b = random_ket(rng, 3), random_ket(rng, 5)
+        joint = tensor(a, b)
+        assert joint.amps.tobytes() == np.kron(a.amps, b.amps).tobytes()
+        assert not joint.amps.flags.writeable
+
+
 def test_canonical_phase_leading_amplitude():
     rng = np.random.default_rng(3)
     for _ in range(20):
@@ -182,6 +191,17 @@ def test_rngstream_draw_sequence_independent_of_interleaving():
     for _ in range(5):
         noise.random()
         got.append(b.random())
+    assert got == expected
+
+
+def test_rngstream_consecutive_matches_fresh_streams():
+    # mixed draws exercise the generator's buffered 32-bit half as well
+    got = [(r.stream_id, r.integers(9), r.random(), r.integers(3), r.random())
+           for r in RngStream.consecutive(11, 200)]
+    expected = []
+    for stream_id in range(200):
+        r = RngStream(11, stream_id)
+        expected.append((stream_id, r.integers(9), r.random(), r.integers(3), r.random()))
     assert got == expected
 
 

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -243,3 +245,16 @@ def test_serialization_rejects_corruption():
     broken = text.replace("0.7071067811865475", "0.9071067811865475", 2)
     with pytest.raises((InvalidSetError, ValueError)):
         stateset_from_text(broken)
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda doc: doc.pop("n"),
+    lambda doc: doc.update(n=None),
+    lambda doc: doc.update(tiles=5),
+    lambda doc: doc["tiles"][0]["cells"][0].append(0),
+], ids=["missing-n", "null-n", "tiles-not-a-list", "three-element-cell"])
+def test_serialization_malformed_fields_raise_invalid_set(corrupt):
+    doc = json.loads(stateset_to_text(build_symmetric(3)))
+    corrupt(doc)
+    with pytest.raises(InvalidSetError):
+        stateset_from_text(json.dumps(doc))
