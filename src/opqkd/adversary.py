@@ -8,21 +8,34 @@ they return is what Bob receives.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
 from .errors import InvalidSetError, ProtocolOrderError
 from .qcore import (
     ATOL_STATE,
+    BornTable,
     Ket,
     MeasurementBasis,
     RngStream,
+    StreamBlocks,
     basis_ket,
+    born_probabilities,
     canonical_phase,
     projective_measure,
     tensor,
 )
-from .stateset import StateSet, bob_basis
+from .stateset import StateSet, bob_basis, bob_table
+
+# What a kernel returns for a chunk of rounds: the A and B outcomes the
+# channel recorded and its inferred label (None when it records nothing),
+# and the key of the pair of states it forwarded to Bob.
+Columns = tuple[np.ndarray | None, np.ndarray | None, np.ndarray | None, np.ndarray]
+# A kernel: one step over a chunk (Alice's labels, the rounds' draws) and
+# the map from a forwarded key to the pair of kets Bob receives.
+Kernel = tuple[Callable[[np.ndarray, StreamBlocks], Columns], Callable[[int], tuple[Ket, Ket]]]
 
 
 @dataclass(frozen=True)
@@ -91,12 +104,25 @@ def conditional_b_basis(state_set: StateSet, a_outcome: int) -> MeasurementBasis
 
 
 class EveStrategy:
-    """Honest channel: forwards both particles untouched and records nothing."""
+    """Honest channel: forwards both particles untouched and records nothing.
+
+    A strategy acts through the per-leg hooks, one round at a time. A class
+    may also define `_kernel`, the same strategy over a chunk of rounds as
+    columns: given the session's set, it returns a step that maps Alice's
+    labels and the rounds' draws (taken in the order the hooks take them)
+    to `Columns`, and the map from a forwarded key to the kets Bob gets.
+    Sessions use the kernel only when the strategy's own class defines
+    one, so a subclass that overrides the hooks runs through them."""
 
     variant = "none"
 
     def __init__(self, state_set: StateSet | None = None):
         self.state_set = state_set
+
+    def _kernel(self, state_set: StateSet) -> Kernel:
+        states = state_set.states
+        return (lambda alice, draws: (None, None, None, alice),
+                lambda key: (states[key].ket_a, states[key].ket_b))
 
     def begin_round(self, round_id: int) -> EveRound:
         return EveRound(round_id)
@@ -142,11 +168,10 @@ class ConditionalInterceptResend(EveStrategy):
         self._b_bases = tuple(conditional_b_basis(state_set, m) for m in range(n))
         amps_a = np.stack([st.ket_a.amps for st in state_set])
         amps_b = np.stack([st.ket_b.amps for st in state_set])
-        # weight_a[i, m] = |<m|A_i>|^2 ; weight_b[m][v, i] = |<v|B_i>|^2
-        self._weight_a = np.abs(amps_a) ** 2
-        self._weight_b = tuple(
-            np.abs(basis.matrix.conj() @ amps_b.T) ** 2 for basis in self._b_bases
-        )
+        # posterior[m, v, i] = |<m|A_i>|^2 |<v|B_i>|^2 in the basis matched to m
+        weight_a = np.abs(amps_a.T) ** 2
+        weight_b = np.stack([np.abs(basis.matrix.conj() @ amps_b.T) ** 2 for basis in self._b_bases])
+        self._inferred = np.argmax(weight_a[:, None, :] * weight_b, axis=2)
 
     def _intercept_first(self, rnd: EveRound, ket_a: Ket, rng: RngStream) -> Ket:
         outcome, collapsed = projective_measure(ket_a, self._comp, rng)
@@ -157,9 +182,25 @@ class ConditionalInterceptResend(EveStrategy):
         m = rnd.a_outcome
         outcome, collapsed = projective_measure(ket_b, self._b_bases[m], rng)
         rnd.b_outcome = outcome
-        posterior = self._weight_a[:, m] * self._weight_b[m][outcome, :]
-        rnd.inferred = int(np.argmax(posterior))
+        rnd.inferred = int(self._inferred[m, outcome])
         return collapsed
+
+    def _kernel(self, state_set: StateSet) -> Kernel:
+        n, states = state_set.n, state_set.states
+        first = BornTable(lambda i: born_probabilities(states[i].ket_a, self._comp))
+        second = BornTable(lambda key: born_probabilities(
+            states[key // n].ket_b, self._b_bases[key % n]))
+
+        def step(alice, draws):
+            a = first.sample(alice, draws.random())
+            b = second.sample(alice * n + a, draws.random())
+            return a, b, self._inferred[a, b], a * n + b
+
+        def forwarded(key):
+            m, v = divmod(key, n)
+            return self._comp._canonical[m], self._b_bases[m]._canonical[v]
+
+        return step, forwarded
 
 
 class MeasureSecondOnly(EveStrategy):
@@ -171,13 +212,27 @@ class MeasureSecondOnly(EveStrategy):
         super().__init__(_require_set(state_set))
         self._comp = MeasurementBasis.computational(state_set.n)
         amps_b = np.stack([st.ket_b.amps for st in state_set])
-        self._weight_b = np.abs(amps_b) ** 2  # [i, l] = |<l|B_i>|^2
+        self._inferred = np.argmax(np.abs(amps_b) ** 2, axis=0)  # over i of |<l|B_i>|^2
 
     def _intercept_second(self, rnd: EveRound, ket_b: Ket, rng: RngStream) -> Ket:
         outcome, collapsed = projective_measure(ket_b, self._comp, rng)
         rnd.b_outcome = outcome
-        rnd.inferred = int(np.argmax(self._weight_b[:, outcome]))
+        rnd.inferred = int(self._inferred[outcome])
         return collapsed
+
+    def _kernel(self, state_set: StateSet) -> Kernel:
+        n, states = state_set.n, state_set.states
+        second = BornTable(lambda i: born_probabilities(states[i].ket_b, self._comp))
+
+        def step(alice, draws):
+            b = second.sample(alice, draws.random())
+            return None, b, self._inferred[b], alice * n + b
+
+        def forwarded(key):
+            i, l = divmod(key, n)
+            return states[i].ket_a, self._comp._canonical[l]
+
+        return step, forwarded
 
 
 class SubstituteCollective(EveStrategy):
@@ -188,8 +243,11 @@ class SubstituteCollective(EveStrategy):
 
     def __init__(self, state_set: StateSet):
         super().__init__(_require_set(state_set))
-        self._joint_basis = bob_basis(state_set)
         self._substitutes = tuple(basis_ket(state_set.n, k) for k in range(state_set.n))
+
+    @cached_property
+    def _joint_basis(self) -> MeasurementBasis:
+        return bob_basis(self.state_set)
 
     def _intercept_first(self, rnd: EveRound, ket_a: Ket, rng: RngStream) -> Ket:
         rnd.stored_a = ket_a
@@ -201,6 +259,21 @@ class SubstituteCollective(EveStrategy):
         rnd.b_outcome = outcome
         rnd.inferred = outcome
         return self.state_set[outcome].ket_b
+
+    def _kernel(self, state_set: StateSet) -> Kernel:
+        n, states, own = state_set.n, state_set.states, self.state_set.states
+        joint = bob_table(self.state_set, lambda i: (states[i].ket_a, states[i].ket_b))
+
+        def step(alice, draws):
+            k = draws.integers(n)
+            o = joint.sample(alice, draws.random())
+            return None, o, o, k * n * n + o
+
+        def forwarded(key):
+            k, o = divmod(key, n * n)
+            return self._substitutes[k], own[o].ket_b
+
+        return step, forwarded
 
 
 _STRATEGIES: dict[str, type[EveStrategy]] = {

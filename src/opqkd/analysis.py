@@ -11,11 +11,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .adversary import canonical_variant, conditional_b_basis, make_strategy
 from .errors import InsufficientDataError
-from .qcore import RngStream, born_probabilities
-from .stateset import StateSet, bob_basis, build_symmetric
-from .protocol import run_round, wilson_interval
+from .qcore import born_probabilities
+from .stateset import StateSet, build_symmetric
+from .protocol import round_columns, wilson_interval
 
 # Closed forms and the recurrence must agree to this slack.
 RECURRENCE_ATOL = 1e-12
@@ -166,16 +168,16 @@ def monte_carlo_estimate(
     state_set: StateSet, variant: str, trials: int, seed: int = 0
 ) -> EstimateResult:
     """Estimate the survival probability by running independent single
-    rounds of the real protocol machinery, one keyed stream per trial."""
+    rounds of the real protocol machinery, one keyed stream per trial
+    (trial t is round t of a session with the same seed)."""
     if trials < 1:
         raise InsufficientDataError("need at least one trial")
     name = canonical_variant(variant)
     strategy = make_strategy(name, state_set)
-    joint = bob_basis(state_set)
-    successes = 0
-    for trial, rng in enumerate(RngStream.consecutive(seed, trials)):
-        alice, bob, _ = run_round(state_set, joint, strategy, trial, rng)
-        successes += int(alice == bob)
+    successes = sum(
+        int(np.count_nonzero(columns[0] == columns[1]))
+        for columns in round_columns(state_set, strategy, seed, trials)
+    )
     low, high = wilson_interval(successes, trials)
     return EstimateResult(
         state_set.n, name, successes / trials, low, high, trials, successes, seed

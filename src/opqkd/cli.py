@@ -1,18 +1,19 @@
 """Command-line front end.
 
 Commands: validate, simulate, exact, sweep, demo. Exit codes: 0 success or
-pass, 1 validation failure, 2 unsupported input, 3 runtime (I/O) failure.
+pass, 1 validation failure, 2 unsupported input (including a `--rounds`
+beyond the memory budget), 3 runtime (I/O) failure.
 The default seed comes from OPQKD_SEED when set.
 """
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import math
 import os
 import sys
 import tempfile
+
+import numpy as np
 
 from .adversary import (
     STRATEGY_NAMES,
@@ -40,6 +41,13 @@ from .stateset import (
 SEED_ENV_VAR = "OPQKD_SEED"
 _KEY_PREVIEW_BITS = 64
 _ATTACKS = tuple(name for name in STRATEGY_NAMES if name != "none")
+# `simulate` holds its whole session and output text in memory. Peak bytes
+# per round, measured at n = 9 and 31 over 200k and 800k rounds and rounded
+# up: the session's columns, check subset and key, plus each transcript
+# asked for. A run may use at most MEMORY_BUDGET_BYTES of them.
+MEMORY_BUDGET_BYTES = 2 * 2**30
+_SESSION_BYTES_PER_ROUND = 160
+_TRANSCRIPT_BYTES_PER_ROUND = 400
 
 
 def _write_atomic(path: str, text: str) -> None:
@@ -105,13 +113,23 @@ def _report_text(header: str, pairs: list[tuple[str, object]], comments: tuple[s
     return "\n".join(lines) + "\n"
 
 
-def _csv_text(headers: list[str], rows: list[list[object]]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(headers)
-    for row in rows:
-        writer.writerow(["" if v is None else _fmt(v) if not isinstance(v, str) else v for v in row])
-    return buf.getvalue()
+def _cell(value) -> str:
+    return "" if value is None else value if isinstance(value, str) else _fmt(value)
+
+
+def _label_cells(column: np.ndarray, size: int) -> list[str]:
+    """Cells of an int column with entries in [0, size), or -1 for an empty
+    cell. Equal entries share one string."""
+    table = [*map(str, range(size)), ""]
+    return [table[v] for v in column.tolist()]
+
+
+def _csv_text(headers: list[str], columns: list[list[str]]) -> str:
+    """CSV text of a header line and equal-length columns of cells, one
+    line per row. The cells written here (numbers, strategy names, empty)
+    never need quoting."""
+    lines = [",".join(headers), *map(",".join, zip(*columns))]
+    return "\n".join(lines) + "\n"
 
 
 def _emit(args, text: str) -> None:
@@ -153,28 +171,59 @@ def cmd_validate(args) -> int:
     return 0 if report.passed else 1
 
 
-def _key_material(key_indices: tuple[int, ...], n_squared: int) -> tuple[int, str]:
+def _key_material(key: np.ndarray, n_squared: int) -> tuple[int, str]:
     """Pack kept labels (round order, most significant first) into the low
     floor(k log2(n^2)) bits of the base-n^2 integer they spell."""
-    if not key_indices:
+    if not len(key):
         return 0, ""
-    bit_count = int(math.floor(len(key_indices) * math.log2(n_squared)))
+    bit_count = int(math.floor(len(key) * math.log2(n_squared)))
     if bit_count == 0:
         return 0, ""
-    value = 0
-    for idx in key_indices:
-        value = value * n_squared + idx
+    value = _radix_value(np.asarray(key, dtype=np.int64), n_squared)
     return bit_count, format(value & ((1 << bit_count) - 1), f"0{bit_count}b")
 
 
+def _radix_value(digits: np.ndarray, base: int) -> int:
+    """The integer spelled by base-`base` digits, most significant first.
+
+    Divide-and-conquer radix conversion: runs of digits are packed into
+    int64 words, then neighbouring numbers are merged pairwise, level by
+    level, so every product is of two numbers of equal size."""
+    width = 1
+    while base ** (width + 1) < 2**63:
+        width += 1
+    padded = np.zeros(len(digits) + -len(digits) % width, dtype=np.int64)
+    padded[len(padded) - len(digits):] = digits
+    powers = np.array([base**k for k in range(width - 1, -1, -1)], dtype=np.int64)
+    values = (padded.reshape(-1, width) @ powers).tolist()
+    power = base**width
+    while len(values) > 1:
+        if len(values) % 2:
+            values.insert(0, 0)
+        values = [high * power + low for high, low in zip(values[::2], values[1::2])]
+        power *= power
+    return values[0]
+
+
+def _max_rounds(args) -> int:
+    transcripts = sum(path is not None for path in (args.transcript, args.eve_transcript))
+    per_round = _SESSION_BYTES_PER_ROUND + transcripts * _TRANSCRIPT_BYTES_PER_ROUND
+    return MEMORY_BUDGET_BYTES // per_round
+
+
 def cmd_simulate(args) -> int:
+    ceiling = _max_rounds(args)
+    if args.rounds > ceiling:
+        print(f"error: --rounds {args.rounds} exceeds {ceiling}, the most whose session "
+              f"and transcripts fit in {MEMORY_BUDGET_BYTES >> 20} MiB", file=sys.stderr)
+        return 2
     state_set, desc = _load_set(args)
     seed = _resolve_seed(args)
     strategy = make_strategy(args.strategy, state_set)
     config = ProtocolConfig(state_set, args.rounds, args.check_fraction, seed, strategy)
     result = run_session(config)
     summary = summarize_session(result)
-    bit_count, bits = _key_material(result.key_indices, len(state_set))
+    bit_count, bits = _key_material(result.key, len(state_set))
 
     pairs = [
         ("command", "simulate"),
@@ -207,21 +256,19 @@ def cmd_simulate(args) -> int:
     )
     _emit(args, _report_text("simulate", pairs, comments))
 
+    rounds, size = len(result.alice), len(state_set)
+    round_ids = list(map(str, range(rounds))) if args.transcript or args.eve_transcript else []
     if args.transcript:
-        rows = [
-            [rec.round_id, rec.alice_index, rec.bob_index, int(rec.checked), int(rec.mismatch)]
-            for rec in result.records
-        ]
+        columns = (result.alice, result.bob, result.checked, result.alice != result.bob)
         _write_atomic(args.transcript, _csv_text(
-            ["round_id", "alice_index", "bob_index", "checked", "mismatch"], rows))
+            ["round_id", "alice_index", "bob_index", "checked", "mismatch"],
+            [round_ids, *(_label_cells(col.astype(np.int64), size) for col in columns)]))
     if args.eve_transcript:
-        rows = []
-        for rec, eve in zip(result.records, result.eve_records):
-            correct = None if eve.inferred_state is None else int(eve.inferred_state == rec.alice_index)
-            rows.append([eve.round_id, eve.variant, eve.a_outcome, eve.b_outcome,
-                         eve.inferred_state, correct])
+        correct = np.where(result.inferred < 0, -1, result.inferred == result.alice)
+        columns = (result.a_outcome, result.b_outcome, result.inferred, correct)
         _write_atomic(args.eve_transcript, _csv_text(
-            ["round_id", "variant", "a_outcome", "b_outcome", "inferred_state", "correct"], rows))
+            ["round_id", "variant", "a_outcome", "b_outcome", "inferred_state", "correct"],
+            [round_ids, [result.variant] * rounds, *(_label_cells(col, size) for col in columns)]))
     if args.key_out:
         _write_atomic(args.key_out, bits + "\n")
     return 0
@@ -260,7 +307,8 @@ def cmd_sweep(args) -> int:
     ]
     text = _csv_text(
         ["n", "strategy", "exact", "closed_form", "gap_to_half",
-         "mc_estimate", "ci_low", "ci_high", "trials", "seed"], table)
+         "mc_estimate", "ci_low", "ci_high", "trials", "seed"],
+        [list(map(_cell, column)) for column in zip(*table)])
     _emit(args, text)
     return 0
 

@@ -6,14 +6,27 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Iterator
+
+import numpy as np
 
 from .adversary import EveRecord, EveStrategy
 from .errors import InsufficientDataError
-from .qcore import MeasurementBasis, RngStream, projective_measure, tensor
-from .stateset import StateSet, bob_basis
+from .qcore import (
+    MeasurementBasis,
+    RngStream,
+    StreamBlocks,
+    philox_block,
+    projective_measure,
+    tensor,
+)
+from .stateset import StateSet, bob_basis, bob_table
 
 # Stream id reserved for the check-subset draw; round ids stay far below it.
 CHECK_STREAM_ID = 2**64 - 1
+# Rounds computed together as columns by a strategy kernel.
+CHUNK_ROUNDS = 8192
 
 _Z_95 = 1.959963984540054
 
@@ -54,16 +67,68 @@ class RoundRecord:
     mismatch: bool
 
 
-@dataclass(frozen=True)
 class SessionResult:
-    """Outcome of one session: per-round records, whether the open comparison
-    caught a disturbance, and the raw key indices if it did not."""
+    """Outcome of one session: per-round columns, whether the open comparison
+    caught a disturbance, and the raw key indices if it did not.
 
-    records: tuple[RoundRecord, ...]
-    detected: bool
-    key_indices: tuple[int, ...]
-    bits_per_round: float
-    eve_records: tuple[EveRecord, ...]
+    The columns are int arrays `alice`, `bob`, `a_outcome`, `b_outcome` and
+    `inferred` (-1 where the channel recorded nothing) and the bool array
+    `checked`; `key` holds the kept labels. `records` and `eve_records` are
+    built from the columns on first use. A result can also be built from
+    records, by keyword."""
+
+    def __init__(
+        self,
+        records: tuple[RoundRecord, ...],
+        detected: bool,
+        key_indices: tuple[int, ...],
+        bits_per_round: float,
+        eve_records: tuple[EveRecord, ...],
+    ):
+        records, eve_records = tuple(records), tuple(eve_records)
+        blank = EveRecord(-1, EveStrategy.variant, None, None, None)
+        eves = eve_records[: len(records)] + (blank,) * (len(records) - len(eve_records))
+        rows = [_round_row(rec.alice_index, rec.bob_index, eve) for rec, eve in zip(records, eves)]
+        self._store(
+            np.array(rows, dtype=np.int64).reshape(-1, 5).T,
+            np.array([rec.checked for rec in records], dtype=bool),
+            (eve_records or (blank,))[0].variant,
+            detected,
+            np.array(key_indices, dtype=np.int64),
+            bits_per_round,
+        )
+        self.__dict__.update(records=records, eve_records=eve_records)
+
+    @classmethod
+    def _from_columns(cls, *fields) -> "SessionResult":
+        result = cls.__new__(cls)
+        result._store(*fields)
+        return result
+
+    def _store(self, columns, checked, variant, detected, key, bits_per_round) -> None:
+        self.alice, self.bob, self.a_outcome, self.b_outcome, self.inferred = columns
+        self.checked, self.variant, self.detected = checked, variant, bool(detected)
+        self.key, self.bits_per_round = key, bits_per_round
+
+    @cached_property
+    def key_indices(self) -> tuple[int, ...]:
+        return tuple(self.key.tolist())
+
+    @cached_property
+    def records(self) -> tuple[RoundRecord, ...]:
+        return tuple(
+            RoundRecord(r, a, b, c, a != b)
+            for r, (a, b, c) in enumerate(zip(
+                self.alice.tolist(), self.bob.tolist(), self.checked.tolist()))
+        )
+
+    @cached_property
+    def eve_records(self) -> tuple[EveRecord, ...]:
+        columns = (self.a_outcome, self.b_outcome, self.inferred)
+        return tuple(
+            EveRecord(r, self.variant, *(None if v < 0 else v for v in values))
+            for r, values in enumerate(zip(*(col.tolist() for col in columns)))
+        )
 
 
 def run_round(
@@ -84,36 +149,68 @@ def run_round(
     return alice, bob, strategy.finish_round(rnd)
 
 
+def _round_row(alice: int, bob: int, eve: EveRecord) -> list[int]:
+    outcomes = (eve.a_outcome, eve.b_outcome, eve.inferred_state)
+    return [alice, bob, *(-1 if v is None else v for v in outcomes)]
+
+
+def round_columns(
+    state_set: StateSet, strategy: EveStrategy, seed: int, rounds: int
+) -> Iterator[np.ndarray]:
+    """Rounds 0 .. rounds-1 of a session, in chunks of CHUNK_ROUNDS, as int
+    arrays of shape (5, chunk) holding Alice's label, Bob's label, the A and
+    B outcomes and the inferred label (-1 where the channel recorded
+    nothing), in round order.
+
+    Round r draws only from the stream (seed, r). A strategy whose own class
+    defines a kernel runs it over the chunk, and the lanes whose draws it
+    cannot be sure of are replayed through `run_round`; any other strategy
+    plays every round through `run_round`, in order."""
+    kernel = "_kernel" in vars(type(strategy))
+    if kernel:
+        step, forwarded = strategy._kernel(state_set)
+        bob = bob_table(state_set, forwarded)
+    joint_basis = None
+    for start in range(0, rounds, CHUNK_ROUNDS):
+        ids = range(start, min(start + CHUNK_ROUNDS, rounds))
+        columns = np.full((5, len(ids)), -1, dtype=np.int64)
+        replay = ids
+        if kernel:
+            draws = StreamBlocks(philox_block(seed, np.array(ids)))
+            columns[0] = draws.integers(len(state_set))
+            *eve, sent = step(columns[0], draws)
+            columns[1] = bob.sample(sent, draws.random())
+            for row, column in enumerate(eve, start=2):
+                if column is not None:
+                    columns[row] = column
+            replay = [ids[lane] for lane in np.flatnonzero(draws.unsure).tolist()]
+        for round_id in replay:
+            if joint_basis is None:
+                joint_basis = bob_basis(state_set)
+            columns[:, round_id - start] = _round_row(*run_round(
+                state_set, joint_basis, strategy, round_id, RngStream(seed, round_id)))
+        yield columns
+
+
 def run_session(config: ProtocolConfig) -> SessionResult:
     """Run a full session: all rounds, then the open comparison on a random
     subset. Each round draws from its own stream keyed by the round id, so
     results do not depend on execution order."""
-    state_set = config.state_set
-    strategy = config.strategy
-    joint = bob_basis(state_set)
+    state_set, rounds = config.state_set, config.rounds
+    columns = np.concatenate(
+        list(round_columns(state_set, config.strategy, config.seed, rounds)), axis=1)
+    alice, bob = columns[0], columns[1]
 
-    outcomes: list[tuple[int, int]] = []
-    eve_records: list[EveRecord] = []
-    for round_id, rng in enumerate(RngStream.consecutive(config.seed, config.rounds)):
-        alice, bob, eve_rec = run_round(state_set, joint, strategy, round_id, rng)
-        outcomes.append((alice, bob))
-        eve_records.append(eve_rec)
-
-    check_count = math.ceil(config.check_fraction * config.rounds)
+    check_count = math.ceil(config.check_fraction * rounds)
     selector = RngStream(config.seed, CHECK_STREAM_ID)
-    checked_ids = set(selector.permutation(config.rounds)[:check_count].tolist())
+    checked = np.zeros(rounds, dtype=bool)
+    checked[selector.permutation(rounds)[:check_count]] = True
 
-    records = tuple(
-        RoundRecord(r, alice, bob, r in checked_ids, alice != bob)
-        for r, (alice, bob) in enumerate(outcomes)
-    )
-    detected = any(rec.mismatch for rec in records if rec.checked)
-    if detected:
-        key_indices: tuple[int, ...] = ()
-    else:
-        key_indices = tuple(rec.bob_index for rec in records if not rec.checked)
+    detected = bool(np.any(checked & (alice != bob)))
+    key = bob[:0] if detected else bob[~checked]
     bits_per_round = math.log2(len(state_set))
-    return SessionResult(records, detected, key_indices, bits_per_round, tuple(eve_records))
+    return SessionResult._from_columns(
+        columns, checked, config.strategy.variant, detected, key, bits_per_round)
 
 
 def wilson_interval(successes: int, trials: int, z: float = _Z_95) -> tuple[float, float]:
@@ -144,12 +241,13 @@ class DetectionStats:
 
 def detection_probability(result: SessionResult) -> DetectionStats:
     """Mismatch frequency among checked rounds, with a Wilson 95% interval."""
-    checked = [rec for rec in result.records if rec.checked]
+    checked = int(np.count_nonzero(result.checked))
     if not checked:
         raise InsufficientDataError("session opened no rounds for comparison")
-    mismatches = sum(rec.mismatch for rec in checked)
-    low, high = wilson_interval(mismatches, len(checked))
-    return DetectionStats(mismatches / len(checked), low, high, len(checked), mismatches)
+    opened = result.checked
+    mismatches = int(np.count_nonzero(result.alice[opened] != result.bob[opened]))
+    low, high = wilson_interval(mismatches, checked)
+    return DetectionStats(mismatches / checked, low, high, checked, mismatches)
 
 
 @dataclass(frozen=True)
@@ -176,19 +274,17 @@ class SimulationReport:
 def summarize_session(result: SessionResult) -> SimulationReport:
     """Condense a session into the counts and interval estimates reported
     by the command-line tools."""
-    rounds = len(result.records)
+    rounds = len(result.alice)
     stats = detection_probability(result)
-    correct = sum(not rec.mismatch for rec in result.records)
+    correct = int(np.count_nonzero(result.alice == result.bob))
     match_low, match_high = wilson_interval(correct, rounds)
 
-    judged = [
-        (eve.inferred_state == rec.alice_index)
-        for rec, eve in zip(result.records, result.eve_records)
-        if eve.inferred_state is not None
-    ]
-    accuracy = sum(judged) / len(judged) if judged else None
+    judged = result.inferred >= 0
+    judged_count = int(np.count_nonzero(judged))
+    right = int(np.count_nonzero(result.inferred[judged] == result.alice[judged]))
+    accuracy = right / judged_count if judged_count else None
 
-    key_rounds = len(result.key_indices)
+    key_rounds = len(result.key)
     return SimulationReport(
         rounds=rounds,
         checked_rounds=stats.checked_rounds,

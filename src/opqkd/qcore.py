@@ -2,7 +2,7 @@
 and keyed deterministic random streams."""
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -68,10 +68,15 @@ def inner(x: Ket, y: Ket) -> complex:
     return complex(np.vdot(x.amps, y.amps))
 
 
+def joint_amps(a: Ket, b: Ket) -> np.ndarray:
+    """Amplitudes of a (x) b, first factor major."""
+    return np.multiply.outer(a.amps, b.amps).reshape(-1)
+
+
 def tensor(a: Ket, b: Ket) -> Ket:
     """Joint state a (x) b; index convention is first-factor-major. The
     product of two checked kets is wrapped without checking it again."""
-    amps = np.multiply.outer(a.amps, b.amps).reshape(-1)
+    amps = joint_amps(a, b)
     amps.setflags(write=False)
     joint = object.__new__(Ket)
     object.__setattr__(joint, "amps", amps)
@@ -150,8 +155,13 @@ def born_probabilities(state: Ket, basis: MeasurementBasis) -> np.ndarray:
     """Outcome distribution of measuring `state` in `basis`."""
     if state.dim != basis.dim:
         raise ValueError(f"state dimension {state.dim} != basis dimension {basis.dim}")
-    amps = basis._conj_matrix @ state.amps
-    return np.abs(amps) ** 2
+    return born_rows(basis._conj_matrix, state.amps)
+
+
+def born_rows(conj_matrix: np.ndarray, amps: np.ndarray) -> np.ndarray:
+    """|<v|state>|^2 for every basis vector v, given the conjugated basis
+    matrix (one vector per row) and the state's amplitudes."""
+    return np.abs(conj_matrix @ amps) ** 2
 
 
 class RngStream:
@@ -180,19 +190,6 @@ class RngStream:
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError("RngStream identity is immutable")
 
-    @classmethod
-    def consecutive(cls, seed: int, count: int) -> Iterator["RngStream"]:
-        """The streams (seed, 0), ..., (seed, count - 1), in order. They give
-        the same draws as streams built one by one, but are one object whose
-        generator is re-keyed in place: each is valid until the next is taken."""
-        stream = cls(seed, 0)
-        state = stream._gen.bit_generator.state  # zero counter, empty buffers
-        for stream_id in range(count):
-            state["state"]["key"][1] = stream_id
-            stream._gen.bit_generator.state = state
-            object.__setattr__(stream, "stream_id", stream_id)
-            yield stream
-
     def integers(self, upper: int) -> int:
         """Uniform integer in [0, upper)."""
         if upper < 1:
@@ -219,12 +216,131 @@ def projective_measure(state: Ket, basis: MeasurementBasis, rng: RngStream) -> t
     """Sample one measurement outcome; returns (index, collapsed state).
 
     The collapsed state is the basis vector itself in canonical phase."""
-    probs = born_probabilities(state, basis)
+    cumulative, total = _cumulative(born_probabilities(state, basis))
+    index = int(_outcome(cumulative, rng.random() * total))
+    return index, basis._canonical[index]
+
+
+def _cumulative(probs: np.ndarray) -> tuple[np.ndarray, float]:
     total = float(probs.sum())
     if total <= 0.0:
         raise ValueError("outcome distribution sums to zero")
-    u = rng.random() * total
-    cumulative = probs.cumsum()
-    index = int(cumulative.searchsorted(u, side="right"))
-    index = min(index, len(basis) - 1)
-    return index, basis._canonical[index]
+    return probs.cumsum(), total
+
+
+def _outcome(cumulative: np.ndarray, target):
+    # First outcome whose running total exceeds the target, clamped to the last.
+    return np.minimum(cumulative.searchsorted(target, side="right"), len(cumulative) - 1)
+
+
+class BornTable:
+    """Projective measurements of a finite family of states, sampled a
+    column at a time.
+
+    `probabilities(key)` gives the outcome distribution of the state named
+    by an integer key. It is called on the key's first use only; its
+    cumsum and total are kept, and each lane then takes the outcome
+    `projective_measure` would take from the same numbers and the same
+    uniform draw."""
+
+    __slots__ = ("_probabilities", "rows")
+
+    def __init__(self, probabilities: Callable[[int], np.ndarray]):
+        self._probabilities = probabilities
+        self.rows: dict[int, tuple[np.ndarray, np.ndarray, float]] = {}
+
+    def _row(self, key: int) -> tuple[np.ndarray, np.ndarray, float]:
+        row = self.rows.get(key)
+        if row is None:
+            probs = self._probabilities(key)
+            row = self.rows[key] = (probs, *_cumulative(probs))
+        return row
+
+    def sample(self, keys: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Outcome of measuring state keys[j] with uniform draw u[j], per lane."""
+        outcomes = np.empty(len(keys), dtype=np.int64)
+        order = np.argsort(keys, kind="stable")
+        starts = np.flatnonzero(np.diff(keys[order])) + 1
+        for lanes in np.split(order, starts):
+            _, cumulative, total = self._row(int(keys[lanes[0]]))
+            outcomes[lanes] = _outcome(cumulative, u[lanes] * total)
+        return outcomes
+
+
+# Philox4x64-10 (Salmon et al., SC'11): round multipliers and key increments.
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_PHILOX_ROUNDS = 10
+_LOW32 = np.uint64(0xFFFFFFFF)
+_32 = np.uint64(32)
+
+
+def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # High and low words of the 128-bit product m * x, from 32-bit limbs.
+    m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
+    x_lo, x_hi = x & _LOW32, x >> _32
+    lo_lo, hi_lo, lo_hi = x_lo * m_lo, x_hi * m_lo, x_lo * m_hi
+    carry = ((lo_lo >> _32) + (hi_lo & _LOW32) + (lo_hi & _LOW32)) >> _32
+    return x_hi * m_hi + (hi_lo >> _32) + (lo_hi >> _32) + carry, x * np.uint64(m)
+
+
+def philox_block(seed: int, stream_ids: np.ndarray) -> np.ndarray:
+    """First output block of every stream (seed, id): Philox4x64-10 with key
+    (seed, id) and counter (1, 0, 0, 0). Row k holds word k of each stream,
+    the k-th 64-bit word RngStream(seed, id) draws."""
+    ids = np.asarray(stream_ids, dtype=np.uint64)
+    key0, key1 = int(seed), ids.copy()
+    c0, c1 = np.ones_like(ids), np.zeros_like(ids)
+    c2, c3 = np.zeros_like(ids), np.zeros_like(ids)
+    for r in range(_PHILOX_ROUNDS):
+        if r:
+            key0 = (key0 + _PHILOX_W[0]) % _MAX_UINT64
+            key1 += np.uint64(_PHILOX_W[1])
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ np.uint64(key0), lo1, hi0 ^ c3 ^ key1, lo0
+    return np.stack([c0, c1, c2, c3])
+
+
+class StreamBlocks:
+    """The leading draws of many streams at once, one lane per stream, taken
+    from each stream's first output block (`philox_block`, one column per
+    lane) in the order RngStream makes them.
+
+    `integers` is numpy's 32-bit Lemire method on the low half of the next
+    word, keeping the high half for the following `integers`; `random` is
+    (word >> 11) * 2^-53 of the next whole word. Where Lemire's leftover is
+    below the bound, the scalar method may reject the draw and take more
+    words; such lanes are marked in `unsure` and must be replayed with
+    their own RngStream."""
+
+    __slots__ = ("_words", "_taken", "_high", "unsure")
+
+    def __init__(self, words: np.ndarray):
+        self._words = words
+        self._taken = 0
+        self._high: np.ndarray | None = None
+        self.unsure = np.zeros(self._words.shape[1], dtype=bool)
+
+    def _next_word(self) -> np.ndarray:
+        if self._taken == len(self._words):
+            raise ValueError("a round may draw at most one Philox block")
+        self._taken += 1
+        return self._words[self._taken - 1]
+
+    def integers(self, upper: int) -> np.ndarray:
+        """Uniform integers in [0, upper), as RngStream.integers draws them."""
+        if not 1 < upper <= 0xFFFFFFFF:
+            raise ValueError("upper bound must lie in [2, 2^32)")
+        if self._high is None:
+            word = self._next_word()
+            bits, self._high = word & _LOW32, word >> _32
+        else:
+            bits, self._high = self._high, None
+        product = bits * np.uint64(upper)
+        self.unsure |= (product & _LOW32) < np.uint64(upper)
+        return (product >> _32).astype(np.int64)
+
+    def random(self) -> np.ndarray:
+        """Uniform floats in [0, 1), as RngStream.random draws them."""
+        return (self._next_word() >> np.uint64(11)).astype(np.float64) * 2.0**-53

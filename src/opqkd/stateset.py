@@ -11,7 +11,7 @@ import json
 import math
 from dataclasses import dataclass
 from itertools import permutations
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -19,9 +19,12 @@ from .errors import InvalidSetError, UnsupportedDimensionError
 from .qcore import (
     ATOL_EXACT,
     ATOL_STATE,
+    BornTable,
     Ket,
     MeasurementBasis,
     basis_ket,
+    born_rows,
+    joint_amps,
     states_equivalent,
     tensor,
 )
@@ -492,6 +495,14 @@ def is_four_fold_symmetric(layout: DominoLayout) -> bool:
 def bob_basis(state_set: StateSet) -> MeasurementBasis:
     """The joint measurement that identifies every state in the set."""
     return MeasurementBasis([st.joint() for st in state_set])
+
+
+def bob_table(state_set: StateSet, pair_of: Callable[[int], tuple[Ket, Ket]]) -> BornTable:
+    """The measurement `bob_basis` makes, as a table over the product states
+    pair_of(key). It reads the basis from the validated joint matrix, whose
+    conjugate holds the same numbers as bob_basis(state_set) would."""
+    conj = state_set.joint_matrix.conj()
+    return BornTable(lambda key: born_rows(conj, joint_amps(*pair_of(key))))
 
 
 _FORMAT_TAG = "opqkd-stateset-1"

@@ -28,8 +28,10 @@ from opqkd import (
     states_equivalent,
     states_orthogonal,
 )
-from opqkd.adversary import canonical_variant
-from opqkd.qcore import ATOL_STATE
+from opqkd.adversary import STRATEGY_NAMES, canonical_variant
+from opqkd.protocol import round_columns
+from opqkd.qcore import ATOL_STATE, StreamBlocks, born_probabilities, philox_block, tensor
+from opqkd.stateset import bob_table
 
 
 def test_conditional_basis_balanced_3x3():
@@ -263,3 +265,34 @@ def test_canonical_variant():
     assert canonical_variant("none") == "none"
     with pytest.raises(ValueError):
         canonical_variant("quantum-cloning")
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 9])
+def test_kernel_bob_tables_equal_born_probabilities(n):
+    # every row a session would build for Bob, for the states each kernel forwards
+    s = build_symmetric(n)
+    basis = bob_basis(s)
+    for name in STRATEGY_NAMES:
+        step, forwarded = make_strategy(name, s)._kernel(s)
+        draws = StreamBlocks(philox_block(n, np.arange(3000)))
+        _, _, _, sent = step(draws.integers(n * n), draws)
+        table = bob_table(s, forwarded)
+        table.sample(sent, draws.random())
+        assert len(table.rows) == len(np.unique(sent))
+        for key, (probs, _, _) in table.rows.items():
+            expected = born_probabilities(tensor(*forwarded(key)), basis)
+            assert probs.tobytes() == expected.tobytes()
+
+
+def test_kernels_match_hooks_round_by_round():
+    # columns for each strategy equal run_round on each round's own stream
+    s = build_symmetric(4)
+    basis = bob_basis(s)
+    for name in STRATEGY_NAMES:
+        (columns,) = round_columns(s, make_strategy(name, s), 12, 300)
+        for round_id in range(300):
+            alice, bob, rec = run_round(s, basis, make_strategy(name, s), round_id,
+                                        RngStream(12, round_id))
+            outcomes = [-1 if v is None else v
+                        for v in (rec.a_outcome, rec.b_outcome, rec.inferred_state)]
+            assert columns[:, round_id].tolist() == [alice, bob, *outcomes]

@@ -3,10 +3,11 @@ import io
 import json
 import math
 import os
+import tracemalloc
 
 import pytest
 
-from opqkd import build_symmetric, p3_formula, stateset_to_text
+from opqkd import build_symmetric, cli, p3_formula, stateset_to_text
 from opqkd.cli import SEED_ENV_VAR, main
 from opqkd.stateset import SetParameters
 
@@ -343,3 +344,24 @@ def test_output_files_are_replaced_atomically(tmp_path):
     assert "stale" not in target.read_text(encoding="utf-8")
     leftovers = [p for p in os.listdir(tmp_path) if p.endswith(".tmp")]
     assert leftovers == []
+
+
+@pytest.mark.parametrize("rounds", [10**30, 3 * 10**7])
+def test_simulate_refuses_rounds_beyond_memory_budget(monkeypatch, tmp_path, rounds):
+    def refuse(*args, **kwargs):
+        raise AssertionError("nothing should be built for a refused run")
+
+    monkeypatch.setattr(cli, "_load_set", refuse)
+    monkeypatch.setattr(cli, "run_session", refuse)
+    err = io.StringIO()
+    tracemalloc.start()
+    with contextlib.redirect_stderr(err):
+        code = main(["simulate", "--rounds", str(rounds),
+                     "--transcript", str(tmp_path / "rounds.csv")])
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert code == 2
+    assert peak < 2**20
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: --rounds")
+    assert not (tmp_path / "rounds.csv").exists()

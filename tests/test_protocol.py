@@ -17,6 +17,8 @@ from opqkd import (
     summarize_session,
     wilson_interval,
 )
+from opqkd import protocol
+from opqkd.protocol import round_columns
 
 
 def test_config_validation():
@@ -175,3 +177,41 @@ def test_summarize_session_honest_channel():
     assert not report.detected
     assert report.eve_accuracy is None
     assert report.key_rounds == 90
+
+
+def test_unsure_lane_is_replayed_through_run_round(monkeypatch):
+    s = build_symmetric(3)
+    strategy = make_strategy("substitute", s)
+    (expected,) = round_columns(s, strategy, 5, 40)
+    real_block, real_round = protocol.philox_block, protocol.run_round
+    replayed = []
+
+    def crafted_block(seed, ids):
+        words = real_block(seed, ids)
+        words[0, 17] = 0  # Lemire's method rejects a low half of 0 below 9
+        return words
+
+    def spy_round(state_set, joint_basis, strat, round_id, rng):
+        replayed.append((round_id, rng.stream_id))
+        return real_round(state_set, joint_basis, strat, round_id, rng)
+
+    monkeypatch.setattr(protocol, "philox_block", crafted_block)
+    monkeypatch.setattr(protocol, "run_round", spy_round)
+    (got,) = round_columns(s, strategy, 5, 40)
+    assert replayed == [(17, 17)]
+    assert got.tolist() == expected.tolist()
+
+
+def test_session_columns_and_records_agree():
+    s = build_symmetric(3)
+    result = run_session(ProtocolConfig(s, rounds=300, check_fraction=0.2, seed=4,
+                                        strategy=make_strategy("intercept", s)))
+    assert [r.alice_index for r in result.records] == result.alice.tolist()
+    assert [r.checked for r in result.records] == result.checked.tolist()
+    assert [e.inferred_state for e in result.eve_records] == result.inferred.tolist()
+    assert all(e.variant == "intercept-resend-conditional" for e in result.eve_records)
+    rebuilt = SessionResult(records=result.records, detected=result.detected,
+                            key_indices=result.key_indices,
+                            bits_per_round=result.bits_per_round,
+                            eve_records=result.eve_records)
+    assert summarize_session(rebuilt) == summarize_session(result)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as hst
 
 from opqkd import (
     Ket,
@@ -15,6 +16,7 @@ from opqkd import (
     states_orthogonal,
     tensor,
 )
+from opqkd.qcore import StreamBlocks, philox_block
 
 
 def random_ket(rng, dim):
@@ -194,17 +196,6 @@ def test_rngstream_draw_sequence_independent_of_interleaving():
     assert got == expected
 
 
-def test_rngstream_consecutive_matches_fresh_streams():
-    # mixed draws exercise the generator's buffered 32-bit half as well
-    got = [(r.stream_id, r.integers(9), r.random(), r.integers(3), r.random())
-           for r in RngStream.consecutive(11, 200)]
-    expected = []
-    for stream_id in range(200):
-        r = RngStream(11, stream_id)
-        expected.append((stream_id, r.integers(9), r.random(), r.integers(3), r.random()))
-    assert got == expected
-
-
 def test_rngstream_validation():
     with pytest.raises(ValueError):
         RngStream(-1)
@@ -222,3 +213,66 @@ def test_rngstream_permutation_and_spawn():
     assert sorted(perm.tolist()) == list(range(50))
     child = stream.spawn(9)
     assert child.seed == 8 and child.stream_id == 9
+
+
+U64 = hst.integers(0, 2**64 - 1)
+
+
+@settings(max_examples=150, deadline=None)
+@example(2**64 - 1, [2**64 - 1, 2**64 - 2, 0])
+@given(U64, hst.lists(U64, min_size=1, max_size=4))
+def test_philox_block_matches_numpy_streams(seed, ids):
+    words = philox_block(seed, np.array(ids, dtype=np.uint64))
+    for lane, stream_id in enumerate(ids):
+        key = np.array([seed, stream_id], dtype=np.uint64)
+        assert words[:, lane].tolist() == np.random.Philox(key=key).random_raw(4).tolist()
+
+
+def test_stream_blocks_match_rngstream_draw_order():
+    ids = np.arange(300)
+    draws = StreamBlocks(philox_block(17, ids))
+    columns = (draws.integers(9), draws.random(), draws.integers(3), draws.random(),
+               draws.random())
+    for stream_id in ids.tolist():
+        r = RngStream(17, stream_id)
+        expected = (r.integers(9), r.random(), r.integers(3), r.random(), r.random())
+        assert tuple(col[stream_id].item() for col in columns) == expected
+    with pytest.raises(ValueError):
+        draws.random()  # a round draws at most one block
+
+
+def _generator_over(words):
+    # A Generator whose bit generator hands out `words` before anything else.
+    bitgen = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
+    state = bitgen.state
+    state.update(buffer=np.array(words, dtype=np.uint64), buffer_pos=0, has_uint32=0)
+    bitgen.state = state
+    return np.random.Generator(bitgen)
+
+
+def test_stream_blocks_lemire_matches_generator_and_flags_rejections():
+    rng = np.random.default_rng(4)
+    halves = [0, 1, 2**32 - 1, *rng.integers(0, 2**32, 40).tolist()]
+    for upper in (9, 16, 625):
+        # low halves whose leftover x * upper mod 2^32 lies in [0, upper)
+        halves += [(m * 2**32 + upper - 1) // upper for m in range(1, upper, max(1, upper // 7))]
+    words = np.array([(hi << 32) | lo for hi in halves[::-1] for lo in halves[:8]]
+                     + [(hi << 32) | lo for hi, lo in zip(halves, halves[::-1])], dtype=np.uint64)
+    filler = rng.integers(0, 2**63, 3).tolist()
+    rejected_total = 0
+    for first, second in ((9, 3), (16, 4), (625, 25), (9, 9)):
+        draws = StreamBlocks(np.stack([words, words, words, words]))
+        got_first, got_second = draws.integers(first), draws.integers(second)
+        for lane, word in enumerate(words.tolist()):
+            gen = _generator_over([word, *filler])
+            value = gen.integers(first)
+            rejected = gen.bit_generator.state["has_uint32"] == 0
+            if not rejected:
+                second_value = gen.integers(second)
+                rejected = gen.bit_generator.state["has_uint32"] == 1
+            rejected_total += rejected
+            if rejected:
+                assert draws.unsure[lane]
+            if not draws.unsure[lane]:
+                assert (got_first[lane], got_second[lane]) == (value, second_value)
+    assert rejected_total > 0
