@@ -5,7 +5,9 @@ import math
 import os
 import tracemalloc
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as hst
 
 from opqkd import build_symmetric, cli, p3_formula, stateset_to_text
 from opqkd.cli import SEED_ENV_VAR, main
@@ -365,3 +367,16 @@ def test_simulate_refuses_rounds_beyond_memory_budget(monkeypatch, tmp_path, rou
     lines = err.getvalue().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: --rounds")
     assert not (tmp_path / "rounds.csv").exists()
+
+
+@settings(max_examples=150, deadline=None)
+@given(hst.sampled_from([9, 16, 25, 81, 625, 2**31 - 1]).flatmap(
+    lambda base: hst.tuples(hst.just(base), hst.lists(hst.integers(0, base - 1), max_size=90))))
+def test_key_material_matches_digit_by_digit_packing(case):
+    base, digits = case
+    value = 0
+    for d in digits:
+        value = value * base + d
+    bit_count = int(math.floor(len(digits) * math.log2(base))) if digits else 0
+    expected = format(value & ((1 << bit_count) - 1), f"0{bit_count}b") if bit_count else ""
+    assert cli._key_material(np.array(digits, dtype=np.int64), base) == (bit_count, expected)
