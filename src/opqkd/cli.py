@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Commands: validate, simulate, exact, sweep, demo. Exit codes: 0 success or
-pass, 1 validation failure, 2 unsupported input (including a `--rounds`
-beyond the memory budget), 3 runtime (I/O) failure.
+pass, 1 validation failure, 2 unsupported input (including a `--rounds`,
+`--dim` or `--max-dim` beyond the memory budget), 3 runtime (I/O) failure.
 The default seed comes from OPQKD_SEED when set.
 """
 from __future__ import annotations
@@ -48,6 +48,11 @@ _ATTACKS = tuple(name for name in STRATEGY_NAMES if name != "none")
 MEMORY_BUDGET_BYTES = 2 * 2**30
 _SESSION_BYTES_PER_ROUND = 160
 _TRANSCRIPT_BYTES_PER_ROUND = 400
+# A set on the n x n grid holds n^2 x n^2 joint matrices. Peak bytes per
+# n^4 of `validate`, `exact`, `simulate` and `sweep`, measured at n = 21, 31
+# and 41 (at most 97) and rounded up; the budget then allows n <= 64.
+_SET_BYTES_PER_N4 = 128
+MAX_DIM = math.isqrt(math.isqrt(MEMORY_BUDGET_BYTES // _SET_BYTES_PER_N4))
 
 
 def _write_atomic(path: str, text: str) -> None:
@@ -93,7 +98,15 @@ def _load_set(args) -> tuple[StateSet, str]:
         if args.dim != 3:
             raise ValueError("--params applies only to --dim 3")
         return build_3x3(_parse_params(args.params)), "parameterized-3x3"
+    _check_dim("--dim", args.dim)
     return build_symmetric(args.dim), f"symmetric-{args.dim}"
+
+
+def _check_dim(flag: str, n: int) -> None:
+    if n > MAX_DIM:
+        raise UnsupportedDimensionError(
+            f"{flag} {n} exceeds {MAX_DIM}, the largest whose set fits in "
+            f"{MEMORY_BUDGET_BYTES >> 20} MiB")
 
 
 def _fmt(value) -> str:
@@ -298,6 +311,7 @@ def cmd_exact(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    _check_dim("--max-dim", args.max_dim)
     seed = _resolve_seed(args)
     rows = dimension_sweep(args.max_dim, args.strategy, args.trials, seed, args.exact_budget)
     table = [

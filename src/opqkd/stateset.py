@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import permutations
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -393,103 +392,149 @@ def _invariant_under(cellsets: list[frozenset[tuple[int, int]]], image) -> bool:
     return all(frozenset(image(c) for c in tile) in seen for tile in cellsets)
 
 
-def _search_relabeled_rotation(layout: DominoLayout) -> bool:
-    # Look for axis relabelings under which a quarter turn fixes the tiling.
-    # Any such map acts on original cells as (i, j) -> (alpha(j), beta(i))
-    # where alpha o beta must have the cycle structure of an index reversal.
+def _refine(cells, pair):
+    # Colour refinement of the tiling graph (lines and tiles, joined through
+    # the cells) under two colourings at once: a vertex's new colour is its
+    # old one plus the colours its cells meet. Signatures are named jointly,
+    # so a map sending each colour class of the first colouring onto that
+    # of the second survives. None when the class sizes stop agreeing.
+    while True:
+        sigs = []
+        for colour in pair:
+            seen: list[list[tuple[int, int]]] = [[] for _ in colour]
+            for r, c, t in cells:
+                x, y, z = colour[r], colour[c], colour[t]
+                seen[r].append((y, z))
+                seen[c].append((x, z))
+                seen[t].append((min(x, y), max(x, y)))
+            sigs.append([(x, tuple(sorted(s))) for x, s in zip(colour, seen)])
+        names: dict = {}
+        new = tuple([names.setdefault(s, len(names)) for s in sig] for sig in sigs)
+        if sorted(new[0]) != sorted(new[1]):
+            return None
+        if len(names) == len(set(pair[0]) | set(pair[1])):
+            return new
+        pair = new
+
+
+def _cycles_possible(n: int, g: list[int], images: dict[int, list[int]]) -> bool:
+    # phi maps the g-class of each colour onto its h-class, images[colour].
+    # Where that h-class is a whole g-class, phi permutes classes; such a
+    # class cycle must have length 2 or 4, and an odd class on a 2-cycle
+    # forces a 2-cycle of phi, of which n % 2 are allowed.
+    members: dict[int, list[int]] = {}
+    for v in range(2 * n):
+        members.setdefault(g[v], []).append(v)
+    step = {}
+    for c, us in images.items():
+        d = g[us[0]]
+        if len(members[d]) == len(us) and all(g[u] == d for u in us):
+            step[c] = d
+    odd = 0
+    for c, vs in members.items():
+        x, k = c, 0
+        while k < 4 and x in step:
+            x, k = step[x], k + 1
+            if x == c:
+                break
+        if x != c and k == 4:
+            return False
+        if x == c and k == 2 and vs[0] < n:
+            odd += len(vs) % 2
+    return odd <= n % 2
+
+
+def _twin_classes(layout: DominoLayout) -> list[int]:
+    # Two rows (or two columns) are twins when swapping them maps every tile
+    # to a tile: at each crossing line they meet the same crossing tile, or
+    # one-cell tiles, or tiles lying along them with the same extent.
+    tile_of = {cell: k for k, t in enumerate(layout.tiles) for cell in t.cells}
+    keys: dict = {}
+    out = []
+    for axis in (0, 1):
+        for line in range(layout.n):
+            key = []
+            for other in range(layout.n):
+                k = tile_of[(line, other) if axis == 0 else (other, line)]
+                cells = layout.tiles[k].cells
+                if len(cells) == 1:
+                    key.append(-1)
+                elif all(c[axis] == line for c in cells):
+                    key.append(frozenset(c[1 - axis] for c in cells))
+                else:
+                    key.append(k)
+            out.append(keys.setdefault(tuple(key), len(keys)))
+    return out
+
+
+def _find_relabeled_rotation(layout: DominoLayout, cells, twins: list[int], pair) -> bool:
+    # Lines are vertices 0..2n-1 (rows, then columns). pair[0] colours the
+    # tiling graph and pair[1] the same graph with row and column types
+    # swapped; a symmetry phi sends each pair[0]-class onto the pair[1]-class
+    # of the same colour, so fixing one image and refining again narrows
+    # every other class. Once every line's image is fixed, _cycles_possible
+    # has checked the cycle type exactly and the tile check confirms phi.
     n = layout.n
-    rows: list[tuple[int, frozenset[int]]] = []
-    cols: list[tuple[int, frozenset[int]]] = []
-    singles: set[tuple[int, int]] = set()
-    for tile in layout.tiles:
-        if len(tile) == 1:
-            singles.add(tile.cells[0])
-        elif tile.orientation == "row":
-            rows.append((tile.fixed_index, frozenset(b for _, b in tile.cells)))
-        else:
-            cols.append((tile.fixed_index, frozenset(a for a, _ in tile.cells)))
-    if len(rows) != len(cols):
+    pair = _refine(cells, pair)
+    if pair is None:
         return False
-
-    single_rows: dict[int, set[int]] = {}
-    for i, j in singles:
-        single_rows.setdefault(i, set()).add(j)
-
-    full = frozenset(range(n))
-    for alpha in permutations(range(n)):
-        candidates: list[frozenset[int]] = [full] * n
-        feasible = True
-        for i, free_b in rows:
-            image = frozenset(alpha[b] for b in free_b)
-            targets = frozenset(b for b, free_a in cols if free_a == image)
-            if not targets:
-                feasible = False
-                break
-            candidates[i] = candidates[i] & targets
-        if not feasible:
+    g, h = pair
+    images: dict[int, list[int]] = {}
+    for u in range(2 * n):
+        images.setdefault(h[u], []).append(u)
+    if not _cycles_possible(n, g, images):
+        return False
+    open_lines = [v for v in range(2 * n) if len(images[g[v]]) > 1]
+    if not open_lines:
+        beta = [images[g[i]][0] - n for i in range(n)]
+        alpha = [images[g[n + j]][0] for j in range(n)]
+        image = lambda cell: (alpha[cell[1]], beta[cell[0]])
+        return _invariant_under(_tile_cellsets(layout), image)
+    # Branch on the image of one line, preferring the open end of a chain of
+    # forced images so that cycles close, or fail to, early. Two candidate
+    # images that are twins and share both colours are conjugate by their
+    # swap, which keeps the cycle type, so one of them stands for both.
+    ends = [images[g[u]][0] for u in range(2 * n) if len(images[g[u]]) == 1]
+    v0 = min((v for v in ends if v in open_lines), default=None)
+    if v0 is None:
+        v0 = min(open_lines, key=lambda v: len(images[g[v]]))
+    fresh = len(set(g))
+    tried = set()
+    for v1 in images[g[v0]]:
+        if (g[v1], twins[v1]) in tried:
             continue
-        for b, free_a in cols:
-            matches = [free for i2, free in rows if i2 == alpha[b] and len(free) == len(free_a)]
-            if not matches:
-                feasible = False
-                break
-            allowed = frozenset().union(*matches)
-            for a in free_a:
-                candidates[a] = candidates[a] & allowed
-        if not feasible:
-            continue
-        for i, j in singles:
-            targets = single_rows.get(alpha[j], set())
-            candidates[i] = candidates[i] & frozenset(targets)
-        if any(not c for c in candidates):
-            continue
-        if _complete_beta(layout, alpha, candidates):
+        tried.add((g[v1], twins[v1]))
+        g2, h2 = list(g), list(h)
+        g2[v0] = h2[v1] = fresh
+        if _find_relabeled_rotation(layout, cells, twins, (g2, h2)):
             return True
     return False
 
 
-def _complete_beta(
-    layout: DominoLayout,
-    alpha: Sequence[int],
-    candidates: list[frozenset[int]],
-) -> bool:
-    n = layout.n
-    order = sorted(range(n), key=lambda i: len(candidates[i]))
-    beta: list[int] = [-1] * n
-    used: set[int] = set()
-    cellsets = _tile_cellsets(layout)
-
-    def assign(pos: int) -> bool:
-        if pos == n:
-            image = lambda cell: (alpha[cell[1]], beta[cell[0]])
-            if not _invariant_under(cellsets, image):
-                return False
-            # alpha o beta must be an involution with n % 2 fixed points,
-            # the cycle structure of an index reversal.
-            combined = [alpha[beta[x]] for x in range(n)]
-            fixed = sum(combined[x] == x for x in range(n))
-            return fixed == n % 2 and all(combined[combined[x]] == x for x in range(n))
-        i = order[pos]
-        for value in sorted(candidates[i] - used):
-            beta[i] = value
-            used.add(value)
-            if assign(pos + 1):
-                return True
-            used.discard(value)
-        beta[i] = -1
-        return False
-
-    return assign(0)
-
-
 def is_four_fold_symmetric(layout: DominoLayout) -> bool:
     """True when the tiling maps to itself under a quarter turn of the grid,
-    directly or after independently relabeling the two axes."""
+    directly or after independently relabeling the two axes.
+
+    The relabelled case asks for a map phi on rows and columns that swaps
+    the two, carries tiles onto tiles and has only 4-cycles besides n % 2
+    two-cycles. It is decided by colour refinement and individualisation
+    (McKay and Piperno, J. Symb. Comput. 60, 2014), not by trying all n!
+    relabellings."""
     n = layout.n
     cellsets = _tile_cellsets(layout)
     if _invariant_under(cellsets, lambda cell: (cell[1], n - 1 - cell[0])):
         return True
-    return _search_relabeled_rotation(layout)
+    lengths = lambda kind: sorted(len(t) for t in layout.tiles if len(t) > 1 and t.orientation == kind)
+    if lengths("row") != lengths("col"):
+        return False
+    # Vertices: rows, columns, tiles. The first colouring marks rows 0,
+    # columns 1, one-cell tiles 2, row tiles 3 and column tiles 4; the second
+    # swaps rows with columns and row tiles with column tiles.
+    cells = [(a, n + b, 2 * n + k) for k, t in enumerate(layout.tiles) for a, b in t.cells]
+    start = [0] * n + [1] * n + [2 if len(t) == 1 else 3 + (t.orientation == "col") for t in layout.tiles]
+    swap = (1, 0, 2, 4, 3)
+    pair = (start, [swap[c] for c in start])
+    return _find_relabeled_rotation(layout, cells, _twin_classes(layout), pair)
 
 
 def bob_basis(state_set: StateSet) -> MeasurementBasis:

@@ -1,5 +1,6 @@
-"""Shared test helpers: random set parameters and an independent
-brute-force enumeration of attack survival probabilities.
+"""Shared test helpers: random set parameters, random tilings, and
+independent brute-force oracles for attack survival probabilities and for
+relabelled quarter-turn symmetry.
 
 The enumerator below deliberately avoids the library's analysis code: it
 walks the full outcome tree with explicit joint-space vectors, so it can
@@ -7,11 +8,12 @@ serve as an oracle for the closed-form and formula-based paths.
 """
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 
-from opqkd import SetParameters
+from opqkd import DominoLayout, SetParameters, StateSet, Tile, states_from_tiles
 
 
 def random_unit_pair(rng: np.random.Generator) -> tuple[complex, complex]:
@@ -104,3 +106,112 @@ def survival_by_enumeration(state_set, variant: str) -> float:
             raise ValueError(f"no enumeration for {variant!r}")
         total += acc
     return total / len(states)
+
+
+def layout_from_cellsets(n, cellsets, rows=None, cols=None, amplitudes=np.eye):
+    """A layout with one tile per cell set, after sending row a to rows[a]
+    and column b to cols[b]; amplitudes(length) gives each tile's matrix."""
+    rows = range(n) if rows is None else rows
+    cols = range(n) if cols is None else cols
+    tiles, label = [], 0
+    for cellset in cellsets:
+        cells = tuple(sorted((int(rows[a]), int(cols[b])) for a, b in cellset))
+        if len(cells) == 1:
+            kind, fixed = "singleton", cells[0][0]
+        elif len({a for a, _ in cells}) == 1:
+            kind, fixed = "row", cells[0][0]
+        else:
+            kind, fixed = "col", cells[0][1]
+        tiles.append(Tile(kind, fixed, cells, amplitudes(len(cells)),
+                          tuple(range(label, label + len(cells)))))
+        label += len(cells)
+    return DominoLayout(n, tuple(tiles))
+
+
+def dft(length: int) -> np.ndarray:
+    k = np.arange(length)
+    return np.exp(2j * np.pi * np.outer(k, k) / length) / math.sqrt(length)
+
+
+def set_from_cellsets(n, cellsets, rows=None, cols=None) -> StateSet:
+    """The state set of those tiles, with discrete-Fourier amplitudes."""
+    layout = layout_from_cellsets(n, cellsets, rows, cols, dft)
+    return StateSet(states_from_tiles(n, layout.tiles), layout)
+
+
+_TILING_MAPS = {
+    "random": lambda n: (),
+    "quarter": lambda n: (lambda c: (c[1], n - 1 - c[0]),),
+    "transpose": lambda n: (lambda c: (c[1], c[0]),),
+    "singletons": lambda n: (),
+    # (i, j) -> (alpha(j), i) with alpha a 3-cycle: its square is alpha on
+    # rows, not an involution, so it is not a relabelled quarter turn.
+    "three-cycle": lambda n: (lambda c: ((c[1] + 1) % 3 if c[1] < 3 else c[1], c[0]),),
+}
+
+
+def random_tiling(rng: np.random.Generator, n: int, kind: str) -> DominoLayout:
+    """A random tiling of the n x n grid with independently relabelled axes.
+
+    kind "quarter", "transpose" and "three-cycle" make the tiling, before
+    relabelling, map to itself under a quarter turn, a transposition or a
+    row-column swap of the wrong cycle type; "singletons" makes most tiles
+    one cell."""
+    maps = _TILING_MAPS[kind](n)
+    singleton_share = 0.8 if kind == "singletons" else 0.3
+    covered: set = set()
+    cellsets = []
+    for flat in rng.permutation(n * n):
+        cell = (int(flat) // n, int(flat) % n)
+        if cell in covered:
+            continue
+        u = rng.random()
+        axis = None if u < singleton_share else int(u < (1 + singleton_share) / 2)
+        for attempt in range(4):
+            tile = {cell}
+            if axis is not None and attempt < 3:
+                line = [c for c in ((cell[0], x) if axis else (x, cell[1]) for x in range(n))
+                        if c not in covered and c != cell]
+                size = int(rng.integers(0, min(len(line), n - 2) + 1))
+                tile.update(line[k] for k in rng.choice(len(line), size, replace=False))
+            orbit = {frozenset(tile)}
+            frontier = list(orbit)
+            while frontier:
+                t = frontier.pop()
+                for m in maps:
+                    image = frozenset(m(c) for c in t)
+                    if image not in orbit:
+                        orbit.add(image)
+                        frontier.append(image)
+            cells = [c for t in orbit for c in t]
+            if len(cells) == len(set(cells)) and not covered.intersection(cells):
+                break
+        cellsets.extend(orbit)
+        covered.update(cells)
+    return layout_from_cellsets(n, cellsets, rng.permutation(n), rng.permutation(n))
+
+
+def relabelled_quarter_turn_by_enumeration(layout) -> bool:
+    """Whether some relabelling of rows and columns makes the tiling map to
+    itself under a quarter turn.
+
+    Relabelling rows by s and columns by t, turning, and undoing the
+    relabelling sends cell (i, j) to (alpha(j), beta(i)) with alpha = s^-1 t
+    and alpha o beta = s^-1 r s for the index reversal r. So the tiling
+    qualifies exactly when, for some alpha and some conjugate c of r, the
+    map with beta = alpha^-1 c sends every tile onto a tile. Tries them all:
+    n! (n! / |centraliser of r|) maps, fine for n <= 5."""
+    n = layout.n
+    tiles = {frozenset(t.cells) for t in layout.tiles}
+    reversal = [n - 1 - x for x in range(n)]
+    conjugates = set()
+    for s in itertools.permutations(range(n)):
+        s_inv = np.argsort(s)
+        conjugates.add(tuple(int(s_inv[reversal[s[x]]]) for x in range(n)))
+    for alpha in itertools.permutations(range(n)):
+        alpha_inv = np.argsort(alpha)
+        for c in conjugates:
+            beta = [int(alpha_inv[c[x]]) for x in range(n)]
+            if all(frozenset((alpha[b], beta[a]) for a, b in t) in tiles for t in tiles):
+                return True
+    return False

@@ -3,12 +3,14 @@ import io
 import json
 import math
 import os
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as hst
 
+from conftest import set_from_cellsets
 from opqkd import build_symmetric, cli, p3_formula, stateset_to_text
 from opqkd.cli import SEED_ENV_VAR, main
 from opqkd.stateset import SetParameters
@@ -367,6 +369,73 @@ def test_simulate_refuses_rounds_beyond_memory_budget(monkeypatch, tmp_path, rou
     lines = err.getvalue().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: --rounds")
     assert not (tmp_path / "rounds.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "--dim", str(cli.MAX_DIM + 1)],
+    ["exact", "--dim", "10000"],
+    ["simulate", "--dim", str(10**30), "--rounds", "10"],
+    ["sweep", "--max-dim", str(10**12)],
+])
+def test_dimensions_beyond_memory_budget_are_refused(monkeypatch, argv):
+    def refuse(*args, **kwargs):
+        raise AssertionError("nothing should be built for a refused dimension")
+
+    monkeypatch.setattr(cli, "build_symmetric", refuse)
+    monkeypatch.setattr(cli, "dimension_sweep", refuse)
+    err = io.StringIO()
+    tracemalloc.start()
+    with contextlib.redirect_stderr(err):
+        code = main(argv)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert code == 2
+    assert peak < 2**20
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {argv[1]} ")
+
+
+def test_dimension_ceiling_is_the_memory_budget(monkeypatch):
+    # 2 GiB at 128 bytes per n^4 allows n = 64 and no more.
+    assert cli.MAX_DIM == 64
+    monkeypatch.setattr(cli, "dimension_sweep", lambda *args: ())
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["sweep", "--max-dim", "64"]) == 0
+
+
+def _shortened_family(n):
+    # The family with its outer top row tile cut short by one cell, so the
+    # row and column tile lengths form different multisets.
+    cellsets = []
+    for tile in build_symmetric(n).layout.tiles:
+        cells = list(tile.cells)
+        if tile.orientation == "row" and tile.fixed_index == 0:
+            cellsets.append([cells.pop()])
+        cellsets.append(cells)
+    return cellsets
+
+
+def _one_row_tile_one_column_tile(n):
+    # Symmetric under transposition, which is of the wrong cycle type, and
+    # under nothing of the right one.
+    return ([[(0, b) for b in range(1, n)], [(a, 0) for a in range(1, n)]]
+            + [[(a, b)] for a in range(n) for b in range(n) if (a == 0) == (b == 0)])
+
+
+@pytest.mark.parametrize("n, cellsets, symmetric", [
+    (10, _shortened_family(10), "0"),
+    (8, _one_row_tile_one_column_tile(8), "0"),
+    (25, [t.cells for t in build_symmetric(25).layout.tiles], "1"),
+], ids=["n10-shortened-family", "n8-one-row-one-column-tile", "n25-family"])
+def test_validate_decides_relabelled_symmetry_in_bounded_time(tmp_path, n, cellsets, symmetric):
+    rng = np.random.default_rng(n)
+    state_set = set_from_cellsets(n, cellsets, rng.permutation(n), rng.permutation(n))
+    set_file, out = tmp_path / "set.json", tmp_path / "report.txt"
+    set_file.write_text(stateset_to_text(state_set), encoding="utf-8")
+    start = time.perf_counter()
+    main(["validate", "--set-file", str(set_file), "--output", str(out)])
+    assert time.perf_counter() - start < 2.0
+    assert read_report(out)["four_fold_symmetric"] == symmetric
 
 
 @settings(max_examples=150, deadline=None)

@@ -2,8 +2,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as hst
 
-from conftest import random_parameters
+from conftest import random_parameters, random_tiling, relabelled_quarter_turn_by_enumeration
 from opqkd import (
     DominoLayout,
     InvalidSetError,
@@ -197,6 +198,14 @@ def test_four_fold_symmetry_counterexample():
         Tile("singleton", 0, ((0, 0),), np.eye(1), (8,)),
     )
     assert not is_four_fold_symmetric(DominoLayout(3, tiles))
+
+
+@settings(max_examples=200, deadline=None)
+@given(hst.sampled_from(["random", "quarter", "transpose", "singletons", "three-cycle"]),
+       hst.integers(3, 5), hst.integers(0, 2**32 - 1))
+def test_four_fold_symmetry_matches_enumeration(kind, n, seed):
+    layout = random_tiling(np.random.default_rng(seed), n, kind)
+    assert is_four_fold_symmetric(layout) == relabelled_quarter_turn_by_enumeration(layout)
 
 
 def test_check_conditions_degenerate_family():
