@@ -114,6 +114,7 @@ class EveStrategy:
     Sessions use the kernel only when the strategy's own class defines
     one, so a subclass that overrides the hooks runs through them."""
 
+    name = "none"
     variant = "none"
 
     def __init__(self, state_set: StateSet | None = None):
@@ -159,6 +160,7 @@ class ConditionalInterceptResend(EveStrategy):
     """Measure A in the computational basis, then measure B in the basis
     matched to that outcome; resend the collapsed states."""
 
+    name = "intercept"
     variant = "intercept-resend-conditional"
 
     def __init__(self, state_set: StateSet):
@@ -206,6 +208,7 @@ class ConditionalInterceptResend(EveStrategy):
 class MeasureSecondOnly(EveStrategy):
     """Leave A alone; measure B in the computational basis and resend."""
 
+    name = "complementary"
     variant = "measure-second-only"
 
     def __init__(self, state_set: StateSet):
@@ -239,6 +242,7 @@ class SubstituteCollective(EveStrategy):
     """Hold A back, forward a fresh basis state in its place, then measure
     the held A together with B in the identifying joint basis."""
 
+    name = "substitute"
     variant = "substitute-collective"
 
     def __init__(self, state_set: StateSet):
@@ -276,31 +280,25 @@ class SubstituteCollective(EveStrategy):
         return step, forwarded
 
 
-_STRATEGIES: dict[str, type[EveStrategy]] = {
-    "none": EveStrategy,
-    "intercept": ConditionalInterceptResend,
-    "intercept-resend-conditional": ConditionalInterceptResend,
-    "complementary": MeasureSecondOnly,
-    "measure-second-only": MeasureSecondOnly,
-    "substitute": SubstituteCollective,
-    "substitute-collective": SubstituteCollective,
-}
-
-STRATEGY_NAMES = ("none", "intercept", "complementary", "substitute")
+# Every strategy, the honest channel first; the others are the attacks.
+STRATEGIES = (EveStrategy, ConditionalInterceptResend, MeasureSecondOnly, SubstituteCollective)
+STRATEGY_NAMES = tuple(cls.name for cls in STRATEGIES)
+ATTACK_NAMES = STRATEGY_NAMES[1:]
 
 
-def _strategy_class(name: str) -> type[EveStrategy]:
-    try:
-        return _STRATEGIES[name]
-    except KeyError:
-        raise ValueError(f"unknown strategy {name!r}; choose from {STRATEGY_NAMES}") from None
+def strategy_class(name: str) -> type[EveStrategy]:
+    """The strategy class whose short `name` or full `variant` this is."""
+    for cls in STRATEGIES:
+        if name in (cls.name, cls.variant):
+            return cls
+    raise ValueError(f"unknown strategy {name!r}; choose from {STRATEGY_NAMES}")
 
 
 def canonical_variant(name: str) -> str:
     """Map a short or full strategy name to its canonical variant string."""
-    return _strategy_class(name).variant
+    return strategy_class(name).variant
 
 
 def make_strategy(name: str, state_set: StateSet | None = None) -> EveStrategy:
     """Build a strategy by short or full variant name."""
-    return _strategy_class(name)(state_set)
+    return strategy_class(name)(state_set)

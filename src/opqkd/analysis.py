@@ -10,13 +10,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
+from . import adversary
 from .adversary import canonical_variant, conditional_b_basis, make_strategy
 from .errors import InsufficientDataError
 from .qcore import born_probabilities
-from .stateset import StateSet, build_symmetric
+from .stateset import SetParameters, StateSet, build_symmetric
 from .protocol import round_columns, wilson_interval
 
 # Closed forms and the recurrence must agree to this slack.
@@ -47,17 +49,15 @@ class EstimateResult:
     seed: int
 
 
-def _intercept_contribution(state_set: StateSet, index: int, bases) -> float:
-    st = state_set[index]
-    terms = []
-    for m in range(state_set.n):
-        weight_a = abs(st.ket_a.amps[m]) ** 2
-        if weight_a == 0.0:
-            continue
-        probs_b = born_probabilities(st.ket_b, bases[m])
-        survive_b = math.fsum(p * p for p in probs_b)
-        terms.append(weight_a * weight_a * survive_b)
-    return math.fsum(terms)
+def _intercept_contributions(state_set: StateSet) -> list[float]:
+    bases = [conditional_b_basis(state_set, m) for m in range(state_set.n)]
+    contributions = []
+    for st in state_set:
+        weights = [abs(z) ** 2 for z in st.ket_a.amps]
+        contributions.append(math.fsum(
+            w * w * math.fsum(p * p for p in born_probabilities(st.ket_b, basis))
+            for w, basis in zip(weights, bases) if w))
+    return contributions
 
 
 def exact_undetected_prob(state_set: StateSet, variant: str = "intercept") -> ExactResult:
@@ -67,29 +67,9 @@ def exact_undetected_prob(state_set: StateSet, variant: str = "intercept") -> Ex
     Alice's label is uniform, so the value is the mean of the per-state
     contributions; those are returned too.
     """
-    name = canonical_variant(variant)
-    n = state_set.n
-    if name == "intercept-resend-conditional":
-        bases = [conditional_b_basis(state_set, m) for m in range(n)]
-        contributions = [
-            _intercept_contribution(state_set, i, bases) for i in range(len(state_set))
-        ]
-    elif name == "measure-second-only":
-        contributions = [
-            math.fsum(abs(z) ** 4 for z in st.ket_b.amps) for st in state_set
-        ]
-    elif name == "substitute-collective":
-        # Bob holds a uniform substitute |r> and the untouched B-part, so the
-        # survival chance is the mean squared A amplitude: exactly 1/n.
-        contributions = [
-            math.fsum(abs(z) ** 2 for z in st.ket_a.amps) / n for st in state_set
-        ]
-    elif name == "none":
-        contributions = [1.0] * len(state_set)
-    else:
-        raise ValueError(f"no exact treatment for variant {name!r}")
+    contributions = exact_treatment(variant).contributions(state_set)
     value = math.fsum(contributions) / len(state_set)
-    return ExactResult(n, name, value, tuple(contributions))
+    return ExactResult(state_set.n, canonical_variant(variant), value, tuple(contributions))
 
 
 def p3_formula(params) -> float:
@@ -121,16 +101,7 @@ def min_p_odd(m: int, verify_with_oracle: bool = False) -> float:
         raise ValueError("odd chain starts at m = 1 (dimension 3)")
     size = 2 * m + 1
     closed = 0.5 + (1 + 4 * m) / (2.0 * size * size)
-    recurred = 7.0 / 9.0
-    for k in range(2, m + 1):
-        recurred = p_recurrence_step(recurred, k, 2.0)
-    if abs(closed - recurred) > RECURRENCE_ATOL:
-        raise AssertionError(
-            f"closed form {closed!r} and recurrence {recurred!r} disagree at m={m}"
-        )
-    if verify_with_oracle:
-        _verify_oracle(size, closed)
-    return closed
+    return _checked(closed, size, verify_with_oracle)
 
 
 def min_p_even(m: int, verify_with_oracle: bool = False) -> float:
@@ -139,22 +110,24 @@ def min_p_even(m: int, verify_with_oracle: bool = False) -> float:
     if m < 2:
         raise ValueError("even chain starts at m = 2 (dimension 4)")
     closed = 0.5 + 1.0 / (2.0 * m)
-    recurred = 3.0 / 4.0
-    for k in range(3, m + 1):
-        recurred = _growth_step(recurred, 2 * k, 2.0)
+    return _checked(closed, 2 * m, verify_with_oracle)
+
+
+def _checked(closed: float, n: int, verify_with_oracle: bool) -> float:
+    # The closed form at dimension n, once it agrees with the recurrence from
+    # 7/9 at n = 3 or 3/4 at n = 4 and, if asked, with exact enumeration.
+    recurred = 7.0 / 9.0 if n % 2 else 3.0 / 4.0
+    for size in range(6 - n % 2, n + 1, 2):
+        recurred = _growth_step(recurred, size, 2.0)
     if abs(closed - recurred) > RECURRENCE_ATOL:
         raise AssertionError(
-            f"closed form {closed!r} and recurrence {recurred!r} disagree at m={m}"
+            f"closed form {closed!r} and recurrence {recurred!r} disagree at n={n}"
         )
     if verify_with_oracle:
-        _verify_oracle(2 * m, closed)
+        got = exact_undetected_prob(build_symmetric(n), "intercept").value
+        if abs(got - closed) > RECURRENCE_ATOL:
+            raise AssertionError(f"oracle value {got!r} != closed form {closed!r} at n={n}")
     return closed
-
-
-def _verify_oracle(n: int, expected: float) -> None:
-    got = exact_undetected_prob(build_symmetric(n), "intercept").value
-    if abs(got - expected) > RECURRENCE_ATOL:
-        raise AssertionError(f"oracle value {got!r} != closed form {expected!r} at n={n}")
 
 
 def min_p(n: int) -> float:
@@ -162,6 +135,37 @@ def min_p(n: int) -> float:
     if n < 3:
         raise ValueError("the family starts at dimension 3")
     return min_p_odd((n - 1) // 2) if n % 2 else min_p_even(n // 2)
+
+
+@dataclass(frozen=True)
+class ExactTreatment:
+    """A strategy's survival contributions per state on any set, and closed
+    forms on the family (every set if `everywhere`) and on build_3x3(params)."""
+
+    contributions: Callable[[StateSet], list[float]]
+    family: Callable[[int], float]
+    everywhere: bool = False
+    parameterized: Callable[[SetParameters], float] | None = None
+
+
+_TREATMENTS = {
+    adversary.EveStrategy: ExactTreatment(
+        lambda s: [1.0] * len(s), lambda n: 1.0, everywhere=True),
+    adversary.ConditionalInterceptResend: ExactTreatment(
+        _intercept_contributions, min_p, parameterized=p3_formula),
+    adversary.MeasureSecondOnly: ExactTreatment(
+        lambda s: [math.fsum(abs(z) ** 4 for z in st.ket_b.amps) for st in s], min_p),
+    # Bob holds a uniform substitute |r> and the untouched B-part, so the
+    # survival chance is the mean squared A amplitude: exactly 1/n.
+    adversary.SubstituteCollective: ExactTreatment(
+        lambda s: [math.fsum(abs(z) ** 2 for z in st.ket_a.amps) / s.n for st in s],
+        lambda n: 1.0 / n, everywhere=True),
+}
+
+
+def exact_treatment(variant: str) -> ExactTreatment:
+    """The exact treatment of the strategy with this short or full name."""
+    return _TREATMENTS[adversary.strategy_class(variant)]
 
 
 def monte_carlo_estimate(
@@ -172,15 +176,14 @@ def monte_carlo_estimate(
     (trial t is round t of a session with the same seed)."""
     if trials < 1:
         raise InsufficientDataError("need at least one trial")
-    name = canonical_variant(variant)
-    strategy = make_strategy(name, state_set)
+    strategy = make_strategy(variant, state_set)
     successes = sum(
         int(np.count_nonzero(columns[0] == columns[1]))
         for columns in round_columns(state_set, strategy, seed, trials)
     )
     low, high = wilson_interval(successes, trials)
     return EstimateResult(
-        state_set.n, name, successes / trials, low, high, trials, successes, seed
+        state_set.n, strategy.variant, successes / trials, low, high, trials, successes, seed
     )
 
 
@@ -213,7 +216,7 @@ def dimension_sweep(
     name = canonical_variant(variant)
     rows = []
     for n in range(3, max_n + 1):
-        closed = 1.0 / n if name == "substitute-collective" else min_p(n)
+        closed = exact_treatment(name).family(n)
         exact = mc = low = high = None
         if n <= exact_budget:
             built = build_symmetric(n)

@@ -2,7 +2,8 @@
 
 Commands: validate, simulate, exact, sweep, demo. Exit codes: 0 success or
 pass, 1 validation failure, 2 unsupported input (including a `--rounds`,
-`--dim` or `--max-dim` beyond the memory budget), 3 runtime (I/O) failure.
+`--dim`, `--max-dim` or set-file n beyond the memory budget), 3 runtime
+(I/O) failure.
 The default seed comes from OPQKD_SEED when set.
 """
 from __future__ import annotations
@@ -16,23 +17,25 @@ import tempfile
 import numpy as np
 
 from .adversary import (
+    ATTACK_NAMES,
     STRATEGY_NAMES,
     ConditionalInterceptResend,
-    canonical_variant,
     conditional_b_basis,
     make_strategy,
 )
-from .analysis import dimension_sweep, exact_undetected_prob, min_p, p3_formula
+from .analysis import dimension_sweep, exact_treatment, exact_undetected_prob
 from .errors import InsufficientDataError, InvalidSetError, UnsupportedDimensionError
 from .protocol import ProtocolConfig, run_session, summarize_session
 from .qcore import MeasurementBasis, RngStream, born_probabilities, tensor
 from .stateset import (
+    MEMORY_BUDGET_BYTES,
     SetParameters,
     StateSet,
     bob_basis,
     build_3x3,
     build_symmetric,
     check_conditions,
+    check_dim,
     is_four_fold_symmetric,
     stateset_from_text,
     stateset_to_text,
@@ -40,19 +43,12 @@ from .stateset import (
 
 SEED_ENV_VAR = "OPQKD_SEED"
 _KEY_PREVIEW_BITS = 64
-_ATTACKS = tuple(name for name in STRATEGY_NAMES if name != "none")
 # `simulate` holds its whole session and output text in memory. Peak bytes
 # per round, measured at n = 9 and 31 over 200k and 800k rounds and rounded
 # up: the session's columns, check subset and key, plus each transcript
 # asked for. A run may use at most MEMORY_BUDGET_BYTES of them.
-MEMORY_BUDGET_BYTES = 2 * 2**30
 _SESSION_BYTES_PER_ROUND = 160
 _TRANSCRIPT_BYTES_PER_ROUND = 400
-# A set on the n x n grid holds n^2 x n^2 joint matrices. Peak bytes per
-# n^4 of `validate`, `exact`, `simulate` and `sweep`, measured at n = 21, 31
-# and 41 (at most 97) and rounded up; the budget then allows n <= 64.
-_SET_BYTES_PER_N4 = 128
-MAX_DIM = math.isqrt(math.isqrt(MEMORY_BUDGET_BYTES // _SET_BYTES_PER_N4))
 
 
 def _write_atomic(path: str, text: str) -> None:
@@ -98,15 +94,8 @@ def _load_set(args) -> tuple[StateSet, str]:
         if args.dim != 3:
             raise ValueError("--params applies only to --dim 3")
         return build_3x3(_parse_params(args.params)), "parameterized-3x3"
-    _check_dim("--dim", args.dim)
+    check_dim("--dim", args.dim)
     return build_symmetric(args.dim), f"symmetric-{args.dim}"
-
-
-def _check_dim(flag: str, n: int) -> None:
-    if n > MAX_DIM:
-        raise UnsupportedDimensionError(
-            f"{flag} {n} exceeds {MAX_DIM}, the largest whose set fits in "
-            f"{MEMORY_BUDGET_BYTES >> 20} MiB")
 
 
 def _fmt(value) -> str:
@@ -242,7 +231,7 @@ def cmd_simulate(args) -> int:
         ("command", "simulate"),
         ("dim", state_set.n),
         ("set", desc),
-        ("strategy", canonical_variant(args.strategy)),
+        ("strategy", strategy.variant),
         ("rounds", summary.rounds),
         ("check_fraction", args.check_fraction),
         ("seed", seed),
@@ -290,13 +279,12 @@ def cmd_simulate(args) -> int:
 def cmd_exact(args) -> int:
     state_set, desc = _load_set(args)
     result = exact_undetected_prob(state_set, args.strategy)
+    treatment = exact_treatment(args.strategy)
     closed = None
-    if result.variant == "substitute-collective":
-        closed = 1.0 / state_set.n
-    elif desc.startswith("symmetric-"):
-        closed = min_p(state_set.n)
-    elif desc == "parameterized-3x3" and result.variant == "intercept-resend-conditional":
-        closed = p3_formula(_parse_params(args.params))
+    if treatment.everywhere or desc.startswith("symmetric-"):
+        closed = treatment.family(state_set.n)
+    elif desc == "parameterized-3x3" and treatment.parameterized:
+        closed = treatment.parameterized(_parse_params(args.params))
     pairs: list[tuple[str, object]] = [
         ("command", "exact"),
         ("dim", state_set.n),
@@ -311,7 +299,7 @@ def cmd_exact(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    _check_dim("--max-dim", args.max_dim)
+    check_dim("--max-dim", args.max_dim)
     seed = _resolve_seed(args)
     rows = dimension_sweep(args.max_dim, args.strategy, args.trials, seed, args.exact_budget)
     table = [
@@ -414,14 +402,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("exact", help="exact survival probability by enumeration")
     _add_set_args(p)
-    p.add_argument("--strategy", choices=_ATTACKS, default="intercept")
+    p.add_argument("--strategy", choices=ATTACK_NAMES, default="intercept")
     p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_exact)
 
     p = sub.add_parser("sweep", help="survival probability across dimensions, as CSV")
     _add_seed_arg(p)
     p.add_argument("--max-dim", type=int, default=9)
-    p.add_argument("--strategy", choices=_ATTACKS, default="intercept")
+    p.add_argument("--strategy", choices=ATTACK_NAMES, default="intercept")
     p.add_argument("--trials", type=int, default=0,
                    help="Monte Carlo trials per dimension (0 disables)")
     p.add_argument("--exact-budget", type=int, default=9,

@@ -17,6 +17,7 @@ from .qcore import (
     MeasurementBasis,
     RngStream,
     StreamBlocks,
+    key_word,
     philox_block,
     projective_measure,
     tensor,
@@ -47,8 +48,7 @@ class ProtocolConfig:
             raise ValueError("rounds must be at least 1")
         if not 0.0 < self.check_fraction < 1.0:
             raise ValueError("check_fraction must lie strictly between 0 and 1")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
+        key_word("seed", self.seed)
         strategy = self.strategy if self.strategy is not None else EveStrategy()
         object.__setattr__(self, "strategy", strategy)
         if strategy.state_set is not None and strategy.state_set.n != self.state_set.n:

@@ -164,6 +164,14 @@ def born_rows(conj_matrix: np.ndarray, amps: np.ndarray) -> np.ndarray:
     return np.abs(conj_matrix @ amps) ** 2
 
 
+def key_word(name: str, value: int) -> int:
+    """`value` as an int, once it is checked to fit a 64-bit Philox key word."""
+    value = int(value)
+    if not 0 <= value < _MAX_UINT64:
+        raise ValueError(f"{name} must be in [0, 2^64), got {value}")
+    return value
+
+
 class RngStream:
     """Deterministic random stream keyed by (seed, stream_id).
 
@@ -175,12 +183,8 @@ class RngStream:
     __slots__ = ("seed", "stream_id", "_gen")
 
     def __init__(self, seed: int, stream_id: int = 0):
-        seed = int(seed)
-        stream_id = int(stream_id)
-        if not 0 <= seed < _MAX_UINT64:
-            raise ValueError(f"seed must be in [0, 2^64), got {seed}")
-        if not 0 <= stream_id < _MAX_UINT64:
-            raise ValueError(f"stream_id must be in [0, 2^64), got {stream_id}")
+        seed = key_word("seed", seed)
+        stream_id = key_word("stream_id", stream_id)
         key = np.array([seed, stream_id], dtype=np.uint64)
         gen = np.random.Generator(np.random.Philox(key=key))
         object.__setattr__(self, "seed", seed)
@@ -289,7 +293,7 @@ def philox_block(seed: int, stream_ids: np.ndarray) -> np.ndarray:
     (seed, id) and counter (1, 0, 0, 0). Row k holds word k of each stream,
     the k-th 64-bit word RngStream(seed, id) draws."""
     ids = np.asarray(stream_ids, dtype=np.uint64)
-    key0, key1 = int(seed), ids.copy()
+    key0, key1 = key_word("seed", seed), ids.copy()
     c0, c1 = np.ones_like(ids), np.zeros_like(ids)
     c2, c3 = np.zeros_like(ids), np.zeros_like(ids)
     for r in range(_PHILOX_ROUNDS):
@@ -310,8 +314,8 @@ class StreamBlocks:
     `integers` is numpy's 32-bit Lemire method on the low half of the next
     word, keeping the high half for the following `integers`; `random` is
     (word >> 11) * 2^-53 of the next whole word. Where Lemire's leftover is
-    below the bound, the scalar method may reject the draw and take more
-    words; such lanes are marked in `unsure` and must be replayed with
+    below 2^32 mod the bound, the scalar method rejects the draw and takes
+    more words; such lanes are marked in `unsure` and must be replayed with
     their own RngStream."""
 
     __slots__ = ("_words", "_taken", "_high", "unsure")
@@ -338,7 +342,7 @@ class StreamBlocks:
         else:
             bits, self._high = self._high, None
         product = bits * np.uint64(upper)
-        self.unsure |= (product & _LOW32) < np.uint64(upper)
+        self.unsure |= (product & _LOW32) < np.uint64(2**32 % upper)
         return (product >> _32).astype(np.int64)
 
     def random(self) -> np.ndarray:

@@ -29,6 +29,22 @@ from .qcore import (
 )
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
+# The most memory a run may use. A set on the n x n grid holds n^2 x n^2
+# joint matrices. Peak bytes per n^4 of `validate`, `exact`, `simulate` and
+# `sweep`, measured at n = 21, 31 and 41 (at most 97) and rounded up; the
+# budget then allows n <= 64.
+MEMORY_BUDGET_BYTES = 2 * 2**30
+_SET_BYTES_PER_N4 = 128
+MAX_DIM = math.isqrt(math.isqrt(MEMORY_BUDGET_BYTES // _SET_BYTES_PER_N4))
+
+
+def check_dim(what: str, n: int) -> int:
+    """n, once it is checked not to exceed the dimension ceiling MAX_DIM."""
+    if n > MAX_DIM:
+        raise UnsupportedDimensionError(
+            f"{what} {n} exceeds {MAX_DIM}, the largest whose set fits in "
+            f"{MEMORY_BUDGET_BYTES >> 20} MiB")
+    return n
 
 
 def _unit_pair(x: complex, y: complex, names: str) -> None:
@@ -592,12 +608,12 @@ def stateset_from_text(text: str) -> StateSet:
     """Rebuild a state set from its serialized form, re-running validation."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise InvalidSetError(f"unparseable state-set text: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format") != _FORMAT_TAG:
         raise InvalidSetError("not a recognized state-set document")
     try:
-        n = int(doc["n"])
+        n = check_dim("set-file n", int(doc["n"]))
         tiles = tuple(
             Tile(
                 rec["orientation"],
@@ -613,6 +629,8 @@ def stateset_from_text(text: str) -> StateSet:
             ProductState(int(rec["index"]), Ket(_from_pairs(rec["ket_a"])), Ket(_from_pairs(rec["ket_b"])))
             for rec in sorted(doc["states"], key=lambda r: int(r["index"]))
         )
+    except UnsupportedDimensionError:
+        raise
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidSetError(f"malformed state-set document: {exc!r}") from exc
     return StateSet(states, layout)

@@ -22,6 +22,7 @@ from opqkd import (
     p_recurrence_step,
     states_from_tiles,
 )
+from opqkd.adversary import STRATEGIES
 
 # Anchor values for the balanced recursive sets, derived by hand from the
 # tile structure before the library existed; see also the enumeration oracle.
@@ -68,6 +69,13 @@ def test_substitute_survival_is_one_over_n():
 
 def test_none_variant_survives_always():
     assert exact_undetected_prob(build_symmetric(3), "none").value == 1.0
+
+
+def test_every_strategy_has_an_exact_treatment():
+    s = build_3x3()
+    for cls in STRATEGIES:
+        for name in (cls.name, cls.variant):
+            assert exact_undetected_prob(s, name).variant == cls.variant
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -192,6 +200,12 @@ def test_monte_carlo_requires_trials():
         monte_carlo_estimate(build_symmetric(3), "intercept", 0)
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_monte_carlo_rejects_seeds_outside_64_bits(seed):
+    with pytest.raises(ValueError, match=r"seed must be in \[0, 2\^64\)"):
+        monte_carlo_estimate(build_symmetric(3), "intercept", 10, seed=seed)
+
+
 def test_dimension_sweep_rows():
     rows = dimension_sweep(7, "intercept")
     assert [r.n for r in rows] == [3, 4, 5, 6, 7]
@@ -220,6 +234,12 @@ def test_dimension_sweep_substitute_closed_form():
     for row in rows:
         assert row.closed_form == pytest.approx(1.0 / row.n)
         assert abs(row.exact - row.closed_form) < 1e-12
+
+
+def test_dimension_sweep_none_closed_form_is_exact():
+    # The honest channel always survives, whatever the intercept figures say.
+    for row in dimension_sweep(6, "none"):
+        assert row.closed_form == row.exact == 1.0
 
 
 def test_dimension_sweep_validation():

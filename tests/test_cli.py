@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import io
 import json
 import math
@@ -8,12 +9,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as hst
+from hypothesis import HealthCheck, given, settings, strategies as hst
 
 from conftest import set_from_cellsets
-from opqkd import build_symmetric, cli, p3_formula, stateset_to_text
+from opqkd import build_symmetric, cli, p3_formula, stateset_from_text, stateset_to_text
 from opqkd.cli import SEED_ENV_VAR, main
-from opqkd.stateset import SetParameters
+from opqkd.errors import InvalidSetError, UnsupportedDimensionError
+from opqkd.stateset import MAX_DIM, SetParameters
 
 DEGENERATE = "1,0,1,0,1,0,1,0"
 SKEWED = "1,0,0.9486832980505138,0.31622776601683794,1,0,1,0"
@@ -111,6 +113,89 @@ def test_validate_malformed_set_file_fails_cleanly(tmp_path):
     assert "verdict = fail" in out.getvalue()
 
 
+def test_validate_deeply_nested_set_file_fails_cleanly(tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["validate", "--set-file", str(deep)]) == 1
+    assert "verdict = fail" in out.getvalue()
+
+
+@pytest.mark.parametrize("command", [["validate"], ["exact"], ["simulate", "--rounds", "10"]])
+def test_set_file_beyond_dimension_ceiling_is_refused(tmp_path, command):
+    doc = {"format": "opqkd-stateset-1", "n": MAX_DIM + 1, "states": [], "tiles": []}
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps(doc), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        assert main([*command, "--set-file", str(big)]) == 2
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: set-file n {MAX_DIM + 1} exceeds")
+    assert out.getvalue() == ""
+
+
+_SET_DOC = json.loads(stateset_to_text(build_symmetric(3)))
+_DEEP = "@@deep@@"  # replaced by nested arrays once the document is text
+_ODD_VALUES = (None, True, -1, 0, 2.5, "x", [], {}, [[1, 0]], {"n": 3}, 10**30,
+               float("nan"), float("inf"), -float("inf"), _DEEP)
+
+
+def _locations(node, path=()):
+    # Every path below the root of a JSON document.
+    if isinstance(node, (dict, list)):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+    else:
+        items = ()
+    for key, child in items:
+        yield path + (key,)
+        yield from _locations(child, path + (key,))
+
+
+_LOCATIONS = tuple(_locations(_SET_DOC))
+
+
+@hst.composite
+def mutated_set_texts(draw):
+    """A serialized 3x3 set with dropped keys, values of the wrong type or
+    length, non-finite numbers, deep nesting or an oversized "n"."""
+    doc = copy.deepcopy(_SET_DOC)
+    for _ in range(draw(hst.integers(1, 3))):
+        *path, key = draw(hst.sampled_from(_LOCATIONS))
+        try:
+            parent = doc
+            for step in path:
+                parent = parent[step]
+            value = parent[key]
+        except (KeyError, IndexError, TypeError):
+            continue  # an earlier mutation removed this location
+        kind = draw(hst.sampled_from(("drop", "swap", "length")))
+        if kind == "drop":
+            del parent[key]
+        elif kind == "swap" or not isinstance(value, list):
+            parent[key] = draw(hst.sampled_from(_ODD_VALUES))
+        else:
+            cut = draw(hst.integers(0, len(value)))
+            parent[key] = draw(hst.sampled_from((value[:cut], value + value[:cut + 1])))
+    if draw(hst.booleans()):
+        doc["n"] = draw(hst.sampled_from((MAX_DIM, MAX_DIM + 1, 10**30, -5, 1e400)))
+    depth = draw(hst.sampled_from((20, 100_000)))
+    return json.dumps(doc).replace(f'"{_DEEP}"', "[" * depth + "]" * depth)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=mutated_set_texts())
+def test_malformed_set_files_fail_only_with_documented_errors(tmp_path, text):
+    try:
+        stateset_from_text(text)
+    except (InvalidSetError, UnsupportedDimensionError):
+        pass
+    path = tmp_path / "fuzzed.json"
+    path.write_text(text, encoding="utf-8")
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(["validate", "--set-file", str(path)]) in (0, 1, 2)
+
+
 def test_missing_set_file_exits_3(tmp_path):
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
@@ -133,6 +218,18 @@ def test_unknown_strategy_rejected_by_parser():
             main(["simulate", "--strategy", "eavesdrop"])
     assert info.value.code == 2
     assert "invalid choice" in err.getvalue()
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--max-dim", "3", "--trials", "10", "--seed", "-1"],
+    ["simulate", "--rounds", "10", "--seed", str(2**64)],
+])
+def test_seed_outside_64_bits_exits_1(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        assert main(argv) == 1
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: seed must be in [0, 2^64)")
 
 
 def test_simulate_zero_rounds_exits_1():
@@ -278,6 +375,36 @@ def test_exact_substitute_closed_form(tmp_path):
     assert float(report["closed_form"]) == pytest.approx(0.25, abs=1e-12)
 
 
+@pytest.mark.parametrize("set_args, strategy, closed", [
+    (["--params", SKEWED], "substitute", repr(1 / 3)),
+    (["--params", SKEWED], "complementary", "n/a"),
+    (["--set-file", "{set_file}"], "substitute", "0.25"),
+    (["--set-file", "{set_file}"], "intercept", "n/a"),
+])
+def test_exact_closed_form_off_the_family(tmp_path, set_args, strategy, closed):
+    set_file = tmp_path / "set.json"
+    set_file.write_text(stateset_to_text(build_symmetric(4)), encoding="utf-8")
+    out = tmp_path / "exact.txt"
+    argv = ["exact", *(a.format(set_file=set_file) for a in set_args), "--strategy", strategy]
+    assert main(argv + ["--output", str(out)]) == 0
+    assert read_report(out)["closed_form"] == closed
+
+
+def test_complementary_closed_form_is_its_exact_value_on_the_family(tmp_path):
+    sweep = tmp_path / "sweep.csv"
+    assert main(["sweep", "--max-dim", "15", "--strategy", "complementary",
+                 "--exact-budget", "0", "--output", str(sweep)]) == 0
+    rows = [line.split(",") for line in sweep.read_text(encoding="utf-8").splitlines()[1:]]
+    assert [int(row[0]) for row in rows] == list(range(3, 16))
+    for row in rows:
+        out = tmp_path / f"exact-{row[0]}.txt"
+        assert main(["exact", "--dim", row[0], "--strategy", "complementary",
+                     "--output", str(out)]) == 0
+        report = read_report(out)
+        assert report["closed_form"] == row[3]
+        assert abs(float(row[3]) - float(report["value"])) < 1e-12
+
+
 def test_sweep_csv_shape(tmp_path):
     out = tmp_path / "sweep.csv"
     assert main(["sweep", "--max-dim", "7", "--output", str(out)]) == 0
@@ -372,7 +499,7 @@ def test_simulate_refuses_rounds_beyond_memory_budget(monkeypatch, tmp_path, rou
 
 
 @pytest.mark.parametrize("argv", [
-    ["validate", "--dim", str(cli.MAX_DIM + 1)],
+    ["validate", "--dim", str(MAX_DIM + 1)],
     ["exact", "--dim", "10000"],
     ["simulate", "--dim", str(10**30), "--rounds", "10"],
     ["sweep", "--max-dim", str(10**12)],
@@ -397,7 +524,7 @@ def test_dimensions_beyond_memory_budget_are_refused(monkeypatch, argv):
 
 def test_dimension_ceiling_is_the_memory_budget(monkeypatch):
     # 2 GiB at 128 bytes per n^4 allows n = 64 and no more.
-    assert cli.MAX_DIM == 64
+    assert MAX_DIM == 64
     monkeypatch.setattr(cli, "dimension_sweep", lambda *args: ())
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["sweep", "--max-dim", "64"]) == 0

@@ -32,6 +32,8 @@ def test_config_validation():
         ProtocolConfig(s, rounds=10, check_fraction=1.0)
     with pytest.raises(ValueError):
         ProtocolConfig(s, rounds=10, seed=-4)
+    with pytest.raises(ValueError):
+        ProtocolConfig(s, rounds=10, seed=2**64)
 
 
 def test_config_rejects_dimension_mismatch():

@@ -253,26 +253,24 @@ def _generator_over(words):
 def test_stream_blocks_lemire_matches_generator_and_flags_rejections():
     rng = np.random.default_rng(4)
     halves = [0, 1, 2**32 - 1, *rng.integers(0, 2**32, 40).tolist()]
-    for upper in (9, 16, 625):
+    for upper in (9, 16, 625, 4096, 3969):
         # low halves whose leftover x * upper mod 2^32 lies in [0, upper)
         halves += [(m * 2**32 + upper - 1) // upper for m in range(1, upper, max(1, upper // 7))]
     words = np.array([(hi << 32) | lo for hi in halves[::-1] for lo in halves[:8]]
                      + [(hi << 32) | lo for hi, lo in zip(halves, halves[::-1])], dtype=np.uint64)
     filler = rng.integers(0, 2**63, 3).tolist()
     rejected_total = 0
-    for first, second in ((9, 3), (16, 4), (625, 25), (9, 9)):
+    for first, second in ((9, 3), (16, 4), (625, 25), (9, 9), (4096, 64), (3969, 63)):
         draws = StreamBlocks(np.stack([words, words, words, words]))
         got_first, got_second = draws.integers(first), draws.integers(second)
         for lane, word in enumerate(words.tolist()):
             gen = _generator_over([word, *filler])
-            value = gen.integers(first)
-            rejected = gen.bit_generator.state["has_uint32"] == 0
-            if not rejected:
-                second_value = gen.integers(second)
-                rejected = gen.bit_generator.state["has_uint32"] == 1
+            value, second_value = gen.integers(first), gen.integers(second)
+            # Without a rejection the two draws take exactly word 0's halves.
+            state = gen.bit_generator.state
+            rejected = (state["buffer_pos"], state["has_uint32"]) != (1, 0)
             rejected_total += rejected
-            if rejected:
-                assert draws.unsure[lane]
-            if not draws.unsure[lane]:
+            assert draws.unsure[lane] == rejected
+            if not rejected:
                 assert (got_first[lane], got_second[lane]) == (value, second_value)
     assert rejected_total > 0
