@@ -282,3 +282,32 @@ def test_cli_outputs_match_golden_digests(tmp_path):
 
 def test_monte_carlo_counts_match_golden():
     assert compute_counts() == GOLDEN_COUNTS
+
+
+# At n = 25 Bob's rows come from the product structure and differ in their
+# last bits from joint-matrix rows far more often than at n <= 9, so these
+# pin whole outcome columns there: counts of 3000 trials per attack, and the
+# round transcript (Bob's label on every round) of two attacked sessions.
+GOLDEN_COUNTS_25 = {"intercept": 1609, "complementary": 1643, "substitute": 136}
+GOLDEN_TRANSCRIPTS_25 = {
+    "complementary": "1317a579816a955a62e8970144e6c4e6a3e28201463ae007750b6a5736b01de1",
+    "substitute": "c2b2e851e420a6ef60432274ba1196010fb4fecc23b202e125dfd5ec72fd026d",
+}
+
+
+def test_monte_carlo_counts_match_golden_at_n25():
+    state_set = build_symmetric(25)
+    got = {attack: monte_carlo_estimate(state_set, attack, 3000, seed=55 + k).successes
+           for k, attack in enumerate(ATTACKS)}
+    assert got == GOLDEN_COUNTS_25
+
+
+def test_transcripts_match_golden_at_n25(tmp_path):
+    got = {}
+    for i, strategy in enumerate(GOLDEN_TRANSCRIPTS_25):
+        path = tmp_path / strategy
+        assert main(["simulate", "--dim", "25", "--strategy", strategy, "--rounds", "2500",
+                     "--seed", str(61 + i), "--transcript", str(path),
+                     "--output", str(tmp_path / "report")]) == 0
+        got[strategy] = _digest(path.read_bytes())
+    assert got == GOLDEN_TRANSCRIPTS_25
