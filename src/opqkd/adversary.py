@@ -21,6 +21,8 @@ from .qcore import (
     MeasurementBasis,
     RngStream,
     StreamBlocks,
+    _canonical_rows,
+    _checked,
     basis_ket,
     born_probabilities,
     canonical_phase,
@@ -31,11 +33,12 @@ from .stateset import StateSet, bob_basis, bob_table
 
 # What a kernel returns for a chunk of rounds: the A and B outcomes the
 # channel recorded and its inferred label (None when it records nothing),
-# and the key of the pair of states it forwarded to Bob.
-Columns = tuple[np.ndarray | None, np.ndarray | None, np.ndarray | None, np.ndarray]
+# and the pair of kets it forwarded to Bob, as a row of each stack below.
+Columns = tuple[np.ndarray | None, np.ndarray | None, np.ndarray | None,
+                tuple[np.ndarray, np.ndarray]]
 # A kernel: one step over a chunk (Alice's labels, the rounds' draws) and
-# the map from a forwarded key to the pair of kets Bob receives.
-Kernel = tuple[Callable[[np.ndarray, StreamBlocks], Columns], Callable[[int], tuple[Ket, Ket]]]
+# the kets it may forward to Bob, one stack of amplitude rows per particle.
+Kernel = tuple[Callable[[np.ndarray, StreamBlocks], Columns], tuple[np.ndarray, np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -89,9 +92,20 @@ def conditional_b_basis(state_set: StateSet, a_outcome: int) -> MeasurementBasis
     n = state_set.n
     if not 0 <= a_outcome < n:
         raise ValueError(f"A outcome {a_outcome} out of range for dimension {n}")
-    parts = [st.ket_b for st in state_set if abs(st.ket_a.amps[a_outcome]) > ATOL_STATE]
-    # reshape keeps an empty selection a 0 x n matrix.
-    amps = np.array([k.amps for k in parts], dtype=np.complex128).reshape(len(parts), n)
+    states = list(state_set)
+    return _conditional_basis(np.stack([st.ket_a.amps for st in states]),
+                              np.stack([st.ket_b.amps for st in states]), a_outcome)
+
+
+def _conditional_basis(amps_a: np.ndarray, amps_b: np.ndarray, a_outcome: int) -> MeasurementBasis:
+    # conditional_b_basis from the stacked A- and B-parts of the states;
+    # np.hypot is the scalar abs of each amplitude. A part equal byte for
+    # byte to an earlier one is dropped first: it is never the first of
+    # its class, and it overlaps the others as that earlier one does.
+    column = amps_a[:, a_outcome]
+    amps = amps_b[np.hypot(column.real, column.imag) > ATOL_STATE]
+    rows = amps.view(np.dtype((np.void, amps.itemsize * amps.shape[1]))).ravel()
+    amps = amps[np.sort(np.unique(rows, return_index=True)[1])]
     overlaps = np.abs(amps.conj() @ amps.T)
     equivalent = np.abs(overlaps - 1.0) <= ATOL_STATE
     if np.any(~equivalent & (overlaps > ATOL_STATE)):
@@ -99,8 +113,8 @@ def conditional_b_basis(state_set: StateSet, a_outcome: int) -> MeasurementBasis
             f"B-parts overlapping A outcome {a_outcome} are not mutually orthogonal"
         )
     first = ~np.tril(equivalent, -1).any(axis=1)
-    distinct = [canonical_phase(k) for k, keep in zip(parts, first) if keep]
-    return MeasurementBasis(_complete_orthonormal(distinct, n))
+    distinct = [_checked(row) for row in _canonical_rows(amps[first])]
+    return MeasurementBasis(_complete_orthonormal(distinct, amps_b.shape[1]))
 
 
 class EveStrategy:
@@ -121,9 +135,8 @@ class EveStrategy:
         self.state_set = state_set
 
     def _kernel(self, state_set: StateSet) -> Kernel:
-        states = state_set.states
-        return (lambda alice, draws: (None, None, None, alice),
-                lambda key: (states[key].ket_a, states[key].ket_b))
+        return (lambda alice, draws: (None, None, None, (alice, alice)),
+                (state_set.amps_a, state_set.amps_b))
 
     def begin_round(self, round_id: int) -> EveRound:
         return EveRound(round_id)
@@ -167,9 +180,8 @@ class ConditionalInterceptResend(EveStrategy):
         super().__init__(_require_set(state_set))
         n = state_set.n
         self._comp = MeasurementBasis.computational(n)
-        self._b_bases = tuple(conditional_b_basis(state_set, m) for m in range(n))
-        amps_a = np.stack([st.ket_a.amps for st in state_set])
-        amps_b = np.stack([st.ket_b.amps for st in state_set])
+        amps_a, amps_b = state_set.amps_a, state_set.amps_b
+        self._b_bases = tuple(_conditional_basis(amps_a, amps_b, m) for m in range(n))
         # posterior[m, v, i] = |<m|A_i>|^2 |<v|B_i>|^2 in the basis matched to m
         weight_a = np.abs(amps_a.T) ** 2
         weight_b = np.stack([np.abs(basis.matrix.conj() @ amps_b.T) ** 2 for basis in self._b_bases])
@@ -196,13 +208,10 @@ class ConditionalInterceptResend(EveStrategy):
         def step(alice, draws):
             a = first.sample(alice, draws.random())
             b = second.sample(alice * n + a, draws.random())
-            return a, b, self._inferred[a, b], a * n + b
+            return a, b, self._inferred[a, b], (a, a * n + b)
 
-        def forwarded(key):
-            m, v = divmod(key, n)
-            return self._comp._canonical[m], self._b_bases[m]._canonical[v]
-
-        return step, forwarded
+        return step, (self._comp._canonical_matrix,
+                      np.concatenate([basis._canonical_matrix for basis in self._b_bases]))
 
 
 class MeasureSecondOnly(EveStrategy):
@@ -224,18 +233,14 @@ class MeasureSecondOnly(EveStrategy):
         return collapsed
 
     def _kernel(self, state_set: StateSet) -> Kernel:
-        n, states = state_set.n, state_set.states
+        states = state_set.states
         second = BornTable(lambda i: born_probabilities(states[i].ket_b, self._comp))
 
         def step(alice, draws):
             b = second.sample(alice, draws.random())
-            return None, b, self._inferred[b], alice * n + b
+            return None, b, self._inferred[b], (alice, b)
 
-        def forwarded(key):
-            i, l = divmod(key, n)
-            return states[i].ket_a, self._comp._canonical[l]
-
-        return step, forwarded
+        return step, (state_set.amps_a, self._comp._canonical_matrix)
 
 
 class SubstituteCollective(EveStrategy):
@@ -265,19 +270,15 @@ class SubstituteCollective(EveStrategy):
         return self.state_set[outcome].ket_b
 
     def _kernel(self, state_set: StateSet) -> Kernel:
-        n, states, own = state_set.n, state_set.states, self.state_set.states
-        joint = bob_table(self.state_set, lambda i: (states[i].ket_a, states[i].ket_b))
+        n = state_set.n
+        joint = bob_table(self.state_set, state_set.amps_a, state_set.amps_b)
 
         def step(alice, draws):
             k = draws.integers(n)
-            o = joint.sample(alice, draws.random())
-            return None, o, o, k * n * n + o
+            o = joint.sample(alice, alice, draws.random())
+            return None, o, o, (k, o)
 
-        def forwarded(key):
-            k, o = divmod(key, n * n)
-            return self._substitutes[k], own[o].ket_b
-
-        return step, forwarded
+        return step, (np.stack([ket.amps for ket in self._substitutes]), self.state_set.amps_b)
 
 
 # Every strategy, the honest channel first; the others are the attacks.

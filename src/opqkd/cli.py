@@ -26,7 +26,7 @@ from .adversary import (
 from .analysis import dimension_sweep, exact_treatment, exact_undetected_prob
 from .errors import InsufficientDataError, InvalidSetError, UnsupportedDimensionError
 from .protocol import ProtocolConfig, run_session, summarize_session
-from .qcore import MeasurementBasis, RngStream, born_probabilities, tensor
+from .qcore import MeasurementBasis, RngStream, born_probabilities, key_word, tensor
 from .stateset import (
     MEMORY_BUDGET_BYTES,
     SetParameters,
@@ -66,13 +66,15 @@ def _write_atomic(path: str, text: str) -> None:
 
 
 def _resolve_seed(args) -> int:
+    """The seed, checked to be a Philox key word before anything runs."""
     if args.seed is not None:
-        return args.seed
+        return key_word("seed", args.seed)
     raw = os.environ.get(SEED_ENV_VAR, "0")
     try:
-        return int(raw)
+        seed = int(raw)
     except ValueError:
         raise ValueError(f"{SEED_ENV_VAR}={raw!r} is not an integer") from None
+    return key_word("seed", seed)
 
 
 def _parse_params(text: str) -> SetParameters:
@@ -219,8 +221,8 @@ def cmd_simulate(args) -> int:
         print(f"error: --rounds {args.rounds} exceeds {ceiling}, the most whose session "
               f"and transcripts fit in {MEMORY_BUDGET_BYTES >> 20} MiB", file=sys.stderr)
         return 2
-    state_set, desc = _load_set(args)
     seed = _resolve_seed(args)
+    state_set, desc = _load_set(args)
     strategy = make_strategy(args.strategy, state_set)
     config = ProtocolConfig(state_set, args.rounds, args.check_fraction, seed, strategy)
     result = run_session(config)

@@ -169,7 +169,7 @@ def round_columns(
     kernel = "_kernel" in vars(type(strategy))
     if kernel:
         step, forwarded = strategy._kernel(state_set)
-        bob = bob_table(state_set, forwarded)
+        bob = bob_table(state_set, *forwarded)
     joint_basis = None
     for start in range(0, rounds, CHUNK_ROUNDS):
         ids = range(start, min(start + CHUNK_ROUNDS, rounds))
@@ -179,7 +179,7 @@ def round_columns(
             draws = StreamBlocks(philox_block(seed, np.array(ids)))
             columns[0] = draws.integers(len(state_set))
             *eve, sent = step(columns[0], draws)
-            columns[1] = bob.sample(sent, draws.random())
+            columns[1] = bob.sample(*sent, draws.random())
             for row, column in enumerate(eve, start=2):
                 if column is not None:
                     columns[row] = column

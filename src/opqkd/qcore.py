@@ -68,19 +68,23 @@ def inner(x: Ket, y: Ket) -> complex:
     return complex(np.vdot(x.amps, y.amps))
 
 
-def joint_amps(a: Ket, b: Ket) -> np.ndarray:
-    """Amplitudes of a (x) b, first factor major."""
-    return np.multiply.outer(a.amps, b.amps).reshape(-1)
+def joint_amps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Amplitudes of a (x) b from those of a and b, first factor major."""
+    return np.multiply.outer(a, b).reshape(-1)
+
+
+def _checked(amps: np.ndarray) -> Ket:
+    # Wrap amplitudes already known to form a ket, without checking again.
+    amps.setflags(write=False)
+    ket = object.__new__(Ket)
+    object.__setattr__(ket, "amps", amps)
+    return ket
 
 
 def tensor(a: Ket, b: Ket) -> Ket:
     """Joint state a (x) b; index convention is first-factor-major. The
     product of two checked kets is wrapped without checking it again."""
-    amps = joint_amps(a, b)
-    amps.setflags(write=False)
-    joint = object.__new__(Ket)
-    object.__setattr__(joint, "amps", amps)
-    return joint
+    return _checked(joint_amps(a.amps, b.amps))
 
 
 def canonical_phase(ket: Ket) -> Ket:
@@ -91,6 +95,26 @@ def canonical_phase(ket: Ket) -> Ket:
         if mag > 1e-12:
             return Ket(arr * (mag / a))
     return ket
+
+
+def _canonical_rows(kets: np.ndarray) -> np.ndarray:
+    """`canonical_phase` of every row of a matrix of kets, with the same
+    numbers: np.hypot is the scalar abs, where np.abs of a complex array
+    may differ from it in the last bit."""
+    mags = np.hypot(kets.real, kets.imag)
+    first = np.argmax(mags > 1e-12, axis=1)
+    rows = np.arange(len(kets))
+    lead, mag = kets[rows, first], mags[rows, first]
+    scale = np.where(mag > 1e-12, mag / np.where(mag > 1e-12, lead, 1.0), 1.0)
+    return kets * scale[:, None]
+
+
+def near_identity(rows: np.ndarray, first: int = 0) -> bool:
+    """np.allclose(rows, I[first:first + len(rows)], atol=ATOL_EXACT, rtol=0)
+    for rows of a square identity I, without forming it; `rows` is
+    overwritten."""
+    rows.flat[first :: rows.shape[1] + 1] -= 1.0
+    return bool(np.all(np.abs(rows) <= ATOL_EXACT))
 
 
 def states_equivalent(x: Ket, y: Ket, tol: float = ATOL_STATE) -> bool:
@@ -110,7 +134,7 @@ def states_orthogonal(x: Ket, y: Ket, tol: float = ATOL_STATE) -> bool:
 class MeasurementBasis:
     """Complete orthonormal basis defining a projective measurement."""
 
-    __slots__ = ("vectors", "matrix", "_conj_matrix", "_canonical")
+    __slots__ = ("vectors", "matrix", "_conj_matrix", "_canonical_matrix", "_canonical")
 
     def __init__(self, vectors: Sequence[Ket]):
         vecs = tuple(vectors)
@@ -122,16 +146,18 @@ class MeasurementBasis:
         if len(vecs) != dim:
             raise ValueError(f"basis has {len(vecs)} vectors but dimension {dim}")
         mat = np.stack([v.amps for v in vecs])
-        gram = mat.conj() @ mat.T
-        if not np.allclose(gram, np.eye(dim), atol=ATOL_EXACT, rtol=0.0):
+        if not near_identity(mat.conj() @ mat.T):
             raise ValueError("basis vectors are not orthonormal")
         mat.setflags(write=False)
         conj = mat.conj()
         conj.setflags(write=False)
+        canonical = _canonical_rows(mat)
         object.__setattr__(self, "vectors", vecs)
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "_conj_matrix", conj)
-        object.__setattr__(self, "_canonical", tuple(canonical_phase(v) for v in vecs))
+        object.__setattr__(self, "_canonical", tuple(_checked(row) for row in canonical))
+        canonical.setflags(write=False)
+        object.__setattr__(self, "_canonical_matrix", canonical)
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError("MeasurementBasis is immutable")
@@ -251,14 +277,7 @@ class BornTable:
 
     def __init__(self, probabilities: Callable[[int], np.ndarray]):
         self._probabilities = probabilities
-        self.rows: dict[int, tuple[np.ndarray, np.ndarray, float]] = {}
-
-    def _row(self, key: int) -> tuple[np.ndarray, np.ndarray, float]:
-        row = self.rows.get(key)
-        if row is None:
-            probs = self._probabilities(key)
-            row = self.rows[key] = (probs, *_cumulative(probs))
-        return row
+        self.rows: dict[int, tuple[np.ndarray, float]] = {}
 
     def sample(self, keys: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Outcome of measuring state keys[j] with uniform draw u[j], per lane."""
@@ -266,8 +285,161 @@ class BornTable:
         order = np.argsort(keys, kind="stable")
         starts = np.flatnonzero(np.diff(keys[order])) + 1
         for lanes in np.split(order, starts):
-            _, cumulative, total = self._row(int(keys[lanes[0]]))
+            key = int(keys[lanes[0]])
+            row = self.rows.get(key)
+            if row is None:
+                row = self.rows[key] = _cumulative(self._probabilities(key))
+            cumulative, total = row
             outcomes[lanes] = _outcome(cumulative, u[lanes] * total)
+        return outcomes
+
+
+_U = 2.0**-53
+# Rows multiplied at a time, in floats, so that the gathered factors need
+# no second table the size of a chunk's rows.
+_BLOCK_FLOATS = 2**20
+
+
+def _gamma(k: int) -> float:
+    return k * _U / (1.0 - k * _U)
+
+
+def guard_band(n: int) -> float:
+    """Largest gap between the joint and the factorised sampling numbers
+    for a product basis of n x n: the band in which `ProductBornTable`
+    does not trust a factorised row.
+
+    Bob measures a (x) b in the basis A_j (x) B_j, j < m = n^2. The exact
+    probabilities are p_j = |<A_j (x) B_j|a (x) b>|^2 = |x_j|^2 |y_j|^2 with
+    x_j = <A_j|a> and y_j = <B_j|b>. The joint path (`projective_measure`
+    on `bob_basis`) forms the joint kets, takes m-term inner products and
+    squares them; the factorised path squares n-term inner products and
+    multiplies. Both then take a cumsum C, a sum T and, for a draw r in
+    [0, 1), the target r*T. With unit roundoff u = 2^-53 and
+    g_k = k u / (1 - k u) (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., SIAM 2002, sections 3.1, 3.3 and 3.6), in any
+    order of summation and with or without fused multiply-adds:
+
+    * a complex product is within sqrt(2) g_2 <= g_4 of it, relatively;
+    * a complex inner product of length L is within sqrt(2) g_2L sum|x_k y_k|
+      <= g_4L |x||y| of it, and (1 + g_i)(1 + g_k) <= 1 + g_(i+k);
+    * np.abs of a complex number, by hypot or by the scaled formula
+      l sqrt(1 + (s/l)^2), is within g_6 relatively, and its square
+      within g_13;
+    * a cumsum or sum of m non-negative terms is within g_m of their sum.
+
+    Every ket is normalised to within ATOL_EXACT, so |x_j|, |y_j| <= v =
+    1 + ATOL_EXACT and each p_j <= v^4. A computed product of two numbers
+    of modulus at most w, each within e, rounded within g, is within
+    e (2w + e) + g (w + e)^2. So the joint p_j are within eps_J of the
+    exact ones, from amplitudes within g_(4m+8) v^2 of theirs (two joint
+    kets of products, then an m-term inner product), and the factorised
+    ones within eps_F, from factors within eps_1 (n-term inner products
+    within g_4n v) multiplied with one rounding. Each C_k and T of a path
+    is then within B = m (eps + g_m (v^4 + eps)) of the exact one, and r*T
+    within B + u (m (v^4 + eps) + B). The band is the sum of the two
+    paths' bounds on |C_k - C'_k| and |r T - r T'|: where the factorised
+    target lies further than that from both cumsum entries beside its
+    outcome, the joint target lies on the same sides of the joint
+    entries, and the outcome is the same. The band is about 20 n^4 u; no
+    figure in it is fitted to data."""
+    m, v = n * n, 1.0 + ATOL_EXACT
+
+    def product(e: float, w: float, g: float) -> float:
+        return e * (2.0 * w + e) + g * (w + e) ** 2
+
+    eps_joint = product(_gamma(4 * m + 8) * v * v, v * v, _gamma(13))
+    eps_1 = product(_gamma(4 * n) * v, v, _gamma(13))
+    eps_factored = product(eps_1, v * v, _U)
+    band = 0.0
+    for eps in (eps_joint, eps_factored):
+        cumsum = m * (eps + _gamma(m) * (v**4 + eps))
+        band += 2.0 * cumsum + _U * (m * (v**4 + eps) + cumsum)
+    return band
+
+
+def _search(cumulative: np.ndarray, rows: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """`_outcome(cumulative[rows[j]], target[j])` for every lane j, by one
+    binary search over all lanes at once: the number of entries up to
+    the target among the first m - 1 of its row."""
+    m = cumulative.shape[1]
+    flat, start = cumulative.reshape(-1), rows * m
+    pos, size = start, m - 1
+    while size > 1:
+        half = size // 2
+        pos = np.where(flat[pos + half] <= target, pos + half, pos)
+        size -= half
+    return pos - start + (flat[pos] <= target)
+
+
+class ProductBornTable:
+    """The measurement of product states a (x) b in a basis of product
+    states A_j (x) B_j, sampled a chunk at a time from the product
+    structure.
+
+    basis_a and basis_b hold the rows A_j and B_j; kets_a and kets_b the
+    kets that may be measured, named by row. The factor |<A_j|a>|^2 of a
+    ket is computed on its first use and kept for the table's life, so a
+    row |<A_j|a>|^2 |<B_j|b>|^2 costs O(n^2) instead of the O(n^4) of a
+    joint product. Rows live for one `sample` call: only their cumsum and
+    total are formed, for the distinct pairs the call measures.
+
+    A lane whose target u*total lies within `guard_band` of a cumsum entry
+    beside its outcome is flagged and takes its outcome from
+    `joint(i, k)`, the joint row of kets_a[i] (x) kets_b[k]. Every other
+    lane takes the outcome that row would give, as the guard band shows,
+    so the outcomes are those of `projective_measure` in the joint basis
+    when `joint` computes its rows."""
+
+    __slots__ = ("_conj", "_kets", "_factors", "_known", "_joint", "band", "flagged")
+
+    def __init__(self, basis_a: np.ndarray, basis_b: np.ndarray,
+                 kets_a: np.ndarray, kets_b: np.ndarray,
+                 joint: Callable[[int, int], np.ndarray]):
+        m, n = basis_a.shape
+        self._conj = (basis_a.conj().T, basis_b.conj().T)
+        self._kets = (kets_a, kets_b)
+        self._factors = (np.empty((len(kets_a), m)), np.empty((len(kets_b), m)))
+        self._known = (np.zeros(len(kets_a), dtype=bool), np.zeros(len(kets_b), dtype=bool))
+        self._joint = joint
+        self.band = guard_band(n)
+        self.flagged = 0
+
+    def _factors_of(self, side: int, index: np.ndarray) -> np.ndarray:
+        factors, known = self._factors[side], self._known[side]
+        new = np.unique(index[~known[index]])
+        if len(new):
+            factors[new] = np.abs(self._kets[side][new] @ self._conj[side]) ** 2
+            known[new] = True
+        return factors
+
+    def rows(self, i: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Cumsums (one row per pair) and totals of the factorised rows of
+        the pairs kets_a[i[r]] (x) kets_b[k[r]]."""
+        factors_a, factors_b = self._factors_of(0, i), self._factors_of(1, k)
+        probs = factors_a[i]
+        step = max(1, _BLOCK_FLOATS // probs.shape[1])
+        for start in range(0, len(k), step):
+            probs[start:start + step] *= factors_b[k[start:start + step]]
+        totals = probs.sum(axis=1)
+        return np.cumsum(probs, axis=1, out=probs), totals
+
+    def sample(self, i: np.ndarray, k: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Outcome of measuring kets_a[i[j]] (x) kets_b[k[j]] with uniform
+        draw u[j], per lane."""
+        pairs, row = np.unique(i * len(self._kets[1]) + k, return_inverse=True)
+        cumulative, totals = self.rows(*np.divmod(pairs, len(self._kets[1])))
+        target = u * totals[row]
+        outcomes = _search(cumulative, row, target)
+        last = cumulative.shape[1] - 1
+        flat, start = cumulative.reshape(-1), row * (last + 1)
+        below = np.where(outcomes > 0, flat[start + np.maximum(outcomes - 1, 0)], -np.inf)
+        above = np.where(outcomes < last, flat[start + outcomes], np.inf)
+        flagged = np.flatnonzero((target - below <= self.band) | (above - target <= self.band))
+        for lane in flagged.tolist():
+            exact, total = _cumulative(self._joint(int(i[lane]), int(k[lane])))
+            outcomes[lane] = _outcome(exact, u[lane] * total)
+        self.flagged += len(flagged)
         return outcomes
 
 

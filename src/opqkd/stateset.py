@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -18,32 +18,39 @@ from .errors import InvalidSetError, UnsupportedDimensionError
 from .qcore import (
     ATOL_EXACT,
     ATOL_STATE,
-    BornTable,
     Ket,
     MeasurementBasis,
+    ProductBornTable,
     basis_ket,
     born_rows,
     joint_amps,
+    near_identity,
     states_equivalent,
     tensor,
 )
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
-# The most memory a run may use. A set on the n x n grid holds n^2 x n^2
-# joint matrices. Peak bytes per n^4 of `validate`, `exact`, `simulate` and
-# `sweep`, measured at n = 21, 31 and 41 (at most 97) and rounded up; the
-# budget then allows n <= 64.
+# The most memory a run may use, and the largest n it allows. A set on the
+# n x n grid has n^2 states, and the largest arrays are n^2 x n^2, 8 bytes
+# per n^4 as floats and 16 as complex numbers: the Born tables' cached
+# factors (a float table for each side whose kets are the set's states,
+# three at most, under the substitute attack) and, once a lane is flagged,
+# the joint matrix and each table's conjugate of it (three complex). With
+# one chunk's rows, 8 * 8192 * n^2 bytes, that is at most 88 bytes per n^4
+# at n = 64 (measured there: 765 MiB, and 1531 MiB with lanes forced to
+# flag). The budget would allow n <= 70; the ceiling stays at 64 until the
+# relabelled symmetry search of `validate --set-file` is bounded there.
 MEMORY_BUDGET_BYTES = 2 * 2**30
-_SET_BYTES_PER_N4 = 128
-MAX_DIM = math.isqrt(math.isqrt(MEMORY_BUDGET_BYTES // _SET_BYTES_PER_N4))
+MAX_DIM = 64
+# Entries of the joint Gram matrix formed at once when a set is checked.
+_GRAM_BLOCK = 2**20
 
 
 def check_dim(what: str, n: int) -> int:
     """n, once it is checked not to exceed the dimension ceiling MAX_DIM."""
     if n > MAX_DIM:
         raise UnsupportedDimensionError(
-            f"{what} {n} exceeds {MAX_DIM}, the largest whose set fits in "
-            f"{MEMORY_BUDGET_BYTES >> 20} MiB")
+            f"{what} {n} exceeds {MAX_DIM}, the largest dimension supported")
     return n
 
 
@@ -124,8 +131,9 @@ class Tile:
         length = len(cells)
         if amps.shape != (length, length):
             raise ValueError(f"amplitude matrix must be {length}x{length}")
-        gram = amps.conj() @ amps.T
-        if not np.allclose(gram, np.eye(length), atol=ATOL_EXACT, rtol=0.0):
+        if not np.all(np.isfinite(amps.view(np.float64))):
+            raise ValueError("tile amplitudes must be finite")
+        if not near_identity(amps.conj() @ amps.T):
             raise ValueError("tile amplitude matrix must be unitary")
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
@@ -209,9 +217,12 @@ def states_from_tiles(n: int, tiles: Sequence[Tile]) -> tuple[ProductState, ...]
 
 
 class StateSet:
-    """A complete orthogonal set of n^2 product states plus its layout."""
+    """A complete orthogonal set of n^2 product states plus its layout.
 
-    __slots__ = ("states", "layout", "joint_matrix")
+    amps_a and amps_b stack the states' single-particle kets, one row per
+    state; the n^2 x n^2 `joint_matrix` is built on first use."""
+
+    __slots__ = ("states", "layout", "amps_a", "amps_b", "_joint")
 
     def __init__(self, states: Sequence[ProductState], layout: DominoLayout):
         states = tuple(states)
@@ -225,18 +236,23 @@ class StateSet:
                 raise InvalidSetError("subsystem dimension must match the layout")
         # <A_i (x) B_i|A_j (x) B_j> = <A_i|A_j> <B_i|B_j>, so the joint Gram
         # matrix is the elementwise product of the two single-particle ones.
+        # It is checked a block of rows at a time, never whole.
         amps_a = np.stack([st.ket_a.amps for st in states])
         amps_b = np.stack([st.ket_b.amps for st in states])
-        gram = amps_a.conj() @ amps_a.T
-        gram *= amps_b.conj() @ amps_b.T
-        if not np.allclose(gram, np.eye(n * n), atol=ATOL_EXACT, rtol=0.0):
-            raise InvalidSetError("joint states must form a complete orthonormal set")
-        joint = np.stack([st.joint().amps for st in states])
-        joint.setflags(write=False)
+        step = max(1, _GRAM_BLOCK // len(states))
+        for first in range(0, len(states), step):
+            gram = amps_a[first:first + step].conj() @ amps_a.T
+            gram *= amps_b[first:first + step].conj() @ amps_b.T
+            if not near_identity(gram, first):
+                raise InvalidSetError("joint states must form a complete orthonormal set")
         self._check_layout_consistency(states, layout)
+        amps_a.setflags(write=False)
+        amps_b.setflags(write=False)
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "layout", layout)
-        object.__setattr__(self, "joint_matrix", joint)
+        object.__setattr__(self, "amps_a", amps_a)
+        object.__setattr__(self, "amps_b", amps_b)
+        object.__setattr__(self, "_joint", None)
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError("StateSet is immutable")
@@ -251,6 +267,18 @@ class StateSet:
                 and states_equivalent(st.ket_b, ref.ket_b, ATOL_STATE)
             ):
                 raise InvalidSetError(f"state {st.index} does not match its tile")
+
+    @property
+    def joint_matrix(self) -> np.ndarray:
+        """The joint states, one row each: the numbers of `bob_basis`."""
+        if self._joint is None:
+            n = self.n
+            joint = np.empty((n * n, n * n), dtype=np.complex128)
+            for row, st in zip(joint, self.states):
+                np.multiply.outer(st.ket_a.amps, st.ket_b.amps, out=row.reshape(n, n))
+            joint.setflags(write=False)
+            object.__setattr__(self, "_joint", joint)
+        return self._joint
 
     @property
     def n(self) -> int:
@@ -558,12 +586,21 @@ def bob_basis(state_set: StateSet) -> MeasurementBasis:
     return MeasurementBasis([st.joint() for st in state_set])
 
 
-def bob_table(state_set: StateSet, pair_of: Callable[[int], tuple[Ket, Ket]]) -> BornTable:
+def bob_table(state_set: StateSet, kets_a: np.ndarray, kets_b: np.ndarray) -> ProductBornTable:
     """The measurement `bob_basis` makes, as a table over the product states
-    pair_of(key). It reads the basis from the validated joint matrix, whose
-    conjugate holds the same numbers as bob_basis(state_set) would."""
-    conj = state_set.joint_matrix.conj()
-    return BornTable(lambda key: born_rows(conj, joint_amps(*pair_of(key))))
+    kets_a[i] (x) kets_b[k]. Rows come from the product structure. A lane
+    too close to call is measured on its joint row, from the validated
+    joint matrix, whose conjugate holds the same numbers as
+    bob_basis(state_set) would; it is conjugated on the first such lane."""
+    conj = None
+
+    def joint(i: int, k: int) -> np.ndarray:
+        nonlocal conj
+        if conj is None:
+            conj = state_set.joint_matrix.conj()
+        return born_rows(conj, joint_amps(kets_a[i], kets_b[k]))
+
+    return ProductBornTable(state_set.amps_a, state_set.amps_b, kets_a, kets_b, joint)
 
 
 _FORMAT_TAG = "opqkd-stateset-1"

@@ -30,7 +30,17 @@ from opqkd import (
 )
 from opqkd.adversary import STRATEGY_NAMES, canonical_variant
 from opqkd.protocol import round_columns
-from opqkd.qcore import ATOL_STATE, StreamBlocks, born_probabilities, philox_block, tensor
+from opqkd.qcore import (
+    ATOL_STATE,
+    Ket,
+    StreamBlocks,
+    born_probabilities,
+    canonical_phase,
+    guard_band,
+    philox_block,
+    projective_measure,
+    tensor,
+)
 from opqkd.stateset import bob_table
 
 
@@ -267,21 +277,129 @@ def test_canonical_variant():
         canonical_variant("quantum-cloning")
 
 
+def _joint_outcome(basis, ket_a, ket_b, u):
+    # projective_measure in the joint basis, with u as its uniform draw
+    rng = SimpleNamespace(random=lambda: float(u))
+    return projective_measure(tensor(Ket(ket_a), Ket(ket_b)), basis, rng)[0]
+
+
 @pytest.mark.parametrize("n", [3, 4, 5, 9])
 def test_kernel_bob_tables_equal_born_probabilities(n):
-    # every row a session would build for Bob, for the states each kernel forwards
+    # every lane a session would measure for Bob takes the outcome of
+    # projective_measure in the joint basis, and every factorised cumsum
+    # and total lies within the guard band of the joint ones
     s = build_symmetric(n)
     basis = bob_basis(s)
     for name in STRATEGY_NAMES:
-        step, forwarded = make_strategy(name, s)._kernel(s)
+        step, (kets_a, kets_b) = make_strategy(name, s)._kernel(s)
         draws = StreamBlocks(philox_block(n, np.arange(3000)))
-        _, _, _, sent = step(draws.integers(n * n), draws)
-        table = bob_table(s, forwarded)
-        table.sample(sent, draws.random())
-        assert len(table.rows) == len(np.unique(sent))
-        for key, (probs, _, _) in table.rows.items():
-            expected = born_probabilities(tensor(*forwarded(key)), basis)
-            assert probs.tobytes() == expected.tobytes()
+        _, _, _, (i, k) = step(draws.integers(n * n), draws)
+        u = draws.random()
+        table = bob_table(s, kets_a, kets_b)
+        outcomes = table.sample(i, k, u)
+        for lane in range(len(u)):
+            assert outcomes[lane] == _joint_outcome(basis, kets_a[i[lane]], kets_b[k[lane]], u[lane])
+        pairs = np.unique(np.stack([i, k]), axis=1)
+        cumulative, totals = table.rows(*pairs)
+        for row, (a, b) in enumerate(pairs.T):
+            probs = born_probabilities(tensor(Ket(kets_a[a]), Ket(kets_b[b])), basis)
+            assert np.all(np.abs(cumulative[row] - probs.cumsum()) <= table.band)
+            assert abs(totals[row] - probs.sum()) <= table.band
+
+
+def _on_boundary(total, entry):
+    # a draw u whose target u * total is the cumsum entry, or next to it
+    u = entry / total
+    for _ in range(4):
+        if u * total == entry:
+            break
+        u = np.nextafter(u, 0.0 if u * total > entry else 1.0)
+    return u
+
+
+@pytest.mark.parametrize("n", [3, 6, 25])
+def test_target_on_a_cumsum_entry_is_flagged(n):
+    # substitute rows |k> (x) B_o spread over several outcomes: a target on
+    # each interior cumsum entry is too close to call, and the lane takes
+    # the joint row's outcome
+    s = build_symmetric(n)
+    basis = bob_basis(s)
+    _, (kets_a, kets_b) = make_strategy("substitute", s)._kernel(s)
+    table = bob_table(s, kets_a, kets_b)
+    i, k = np.arange(n), (np.arange(n) * 7 + 1) % (n * n)
+    cumulative, totals = table.rows(i, k)
+    lanes = [(a, b, _on_boundary(totals[r], entry))
+             for r, (a, b) in enumerate(zip(i, k))
+             for entry in np.unique(cumulative[r])
+             if 0.0 < entry < totals[r] * (1 - 1e-9)]
+    assert lanes
+    li, lk, lu = (np.array(column) for column in zip(*lanes))
+    outcomes = table.sample(li, lk, lu)
+    assert table.flagged == len(lanes)
+    for lane, (a, b, u) in enumerate(lanes):
+        assert outcomes[lane] == _joint_outcome(basis, kets_a[a], kets_b[b], u)
+
+
+def test_guard_band_grows_as_n4():
+    # 20 n^4 unit roundoffs plus lower-order terms, and small enough that
+    # almost no lane is flagged at the largest dimension
+    ratios = [guard_band(n) / (n**4 * 2.0**-53) for n in (2, 3, 9, 25, 64)]
+    assert ratios == sorted(ratios, reverse=True)
+    assert 20 < ratios[-1] and ratios[0] < 65
+    assert guard_band(64) < 1e-7
+
+
+@settings(max_examples=60, deadline=None)
+@given(hst.data())
+def test_factorised_sampling_matches_joint_property(data):
+    if data.draw(hst.booleans()):
+        s = build_3x3(random_parameters(np.random.default_rng(data.draw(hst.integers(0, 2**32 - 1)))))
+    else:
+        s = build_symmetric(data.draw(hst.integers(3, 7)))
+    name = data.draw(hst.sampled_from(STRATEGY_NAMES))
+    try:
+        _, (kets_a, kets_b) = make_strategy(name, s)._kernel(s)
+    except InvalidSetError:
+        return  # the conditional attack rejects sets whose B-parts are oblique
+    table = bob_table(s, kets_a, kets_b)
+    lanes = data.draw(hst.lists(hst.tuples(
+        hst.integers(0, len(kets_a) - 1), hst.integers(0, len(kets_b) - 1),
+        hst.floats(0.0, 1.0, exclude_max=True), hst.booleans()), min_size=1, max_size=30))
+    i, k = (np.array([lane[c] for lane in lanes]) for c in (0, 1))
+    cumulative, totals = table.rows(i, k)
+    u = np.array([
+        _on_boundary(totals[r], cumulative[r][int(draw * len(cumulative[r]))]) if boundary else draw
+        for r, (_, _, draw, boundary) in enumerate(lanes)])
+    u = np.minimum(u, np.nextafter(1.0, 0.0))
+    outcomes = table.sample(i, k, u)
+    basis = bob_basis(s)
+    for lane in range(len(lanes)):
+        assert outcomes[lane] == _joint_outcome(basis, kets_a[i[lane]], kets_b[k[lane]], u[lane])
+
+
+def _scalar_distinct_parts(state_set, m):
+    # the B-parts conditional_b_basis collects, ket by ket
+    parts = [st.ket_b for st in state_set if abs(st.ket_a.amps[m]) > ATOL_STATE]
+    amps = np.array([p.amps for p in parts]).reshape(len(parts), state_set.n)
+    equivalent = np.abs(np.abs(amps.conj() @ amps.T) - 1.0) <= ATOL_STATE
+    first = ~np.tril(equivalent, -1).any(axis=1)
+    return [canonical_phase(p) for p, keep in zip(parts, first) if keep]
+
+
+def test_conditional_basis_kets_equal_scalar_canonical_phase():
+    sets = [build_symmetric(n) for n in range(3, 26)]
+    sets += [build_3x3(random_parameters(np.random.default_rng(seed))) for seed in range(20)]
+    for s in sets:
+        for m in range(s.n):
+            try:
+                basis = conditional_b_basis(s, m)
+            except InvalidSetError:
+                continue
+            parts = _scalar_distinct_parts(s, m)
+            for v, p in zip(basis.vectors, parts):
+                assert v.amps.tobytes() == p.amps.tobytes()
+            for v, c in zip(basis.vectors, basis._canonical):
+                assert c.amps.tobytes() == canonical_phase(v).amps.tobytes()
 
 
 def test_kernels_match_hooks_round_by_round():

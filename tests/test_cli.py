@@ -6,13 +6,14 @@ import math
 import os
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as hst
 
 from conftest import set_from_cellsets
-from opqkd import build_symmetric, cli, p3_formula, stateset_from_text, stateset_to_text
+from opqkd import build_3x3, build_symmetric, cli, p3_formula, stateset_from_text, stateset_to_text
 from opqkd.cli import SEED_ENV_VAR, main
 from opqkd.errors import InvalidSetError, UnsupportedDimensionError
 from opqkd.stateset import MAX_DIM, SetParameters
@@ -111,6 +112,21 @@ def test_validate_malformed_set_file_fails_cleanly(tmp_path):
     with contextlib.redirect_stdout(out):
         assert main(["validate", "--set-file", str(bad)]) == 1
     assert "verdict = fail" in out.getvalue()
+
+
+def test_validate_infinite_tile_amplitude_fails_without_warnings(tmp_path):
+    doc = json.loads(stateset_to_text(build_3x3()))
+    doc["tiles"][0]["amplitudes"][0][0] = [math.inf, 0.0]
+    bad = tmp_path / "infinite.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            assert main(["validate", "--set-file", str(bad)]) == 1
+    assert "verdict = fail" in out.getvalue()
+    assert "finite" in out.getvalue()
+    assert err.getvalue() == "" and caught == []
 
 
 def test_validate_deeply_nested_set_file_fails_cleanly(tmp_path):
@@ -230,6 +246,30 @@ def test_seed_outside_64_bits_exits_1(argv):
         assert main(argv) == 1
     lines = err.getvalue().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: seed must be in [0, 2^64)")
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--max-dim", "3", "--seed", "-1"],
+    ["demo", "--seed", "-1"],
+    ["demo", "--seed", str(2**64)],
+    ["simulate", "--dim", "3", "--rounds", "10", "--seed", "-1"],
+])
+def test_seed_is_checked_before_any_output(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        assert main(argv) == 1
+    assert out.getvalue() == ""
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: seed must be in [0, 2^64)")
+
+
+def test_seed_from_environment_is_checked_before_any_output(monkeypatch):
+    monkeypatch.setenv(SEED_ENV_VAR, "-3")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        assert main(["demo"]) == 1
+    assert out.getvalue() == ""
+    assert err.getvalue() == "error: seed must be in [0, 2^64), got -3\n"
 
 
 def test_simulate_zero_rounds_exits_1():

@@ -35,6 +35,16 @@ def assert_complete_orthogonal(state_set, ortho_tol=1e-10, complete_tol=1e-9):
     assert np.max(np.abs(gram - np.eye(len(state_set)))) < complete_tol
 
 
+def test_joint_matrix_holds_the_numbers_of_bob_basis():
+    # the guarded Born tables fall back on rows of this matrix, and their
+    # outcomes are those of projective_measure in bob_basis
+    sets = [build_symmetric(n) for n in (3, 4, 7)]
+    sets.append(build_3x3(SetParameters(0.6 + 0.8j, 0.0, 1.0, 0.0, 0.0, 1.0j, 0.8, 0.6j)))
+    for s in sets:
+        assert s.joint_matrix.tobytes() == bob_basis(s).matrix.tobytes()
+        assert s.joint_matrix is s.joint_matrix
+
+
 def test_set_parameters_validation():
     SetParameters.symmetric()
     with pytest.raises(ValueError):
