@@ -23,6 +23,7 @@ from .qcore import (
     StreamBlocks,
     _canonical_rows,
     _checked,
+    _runs,
     basis_ket,
     born_probabilities,
     canonical_phase,
@@ -104,8 +105,10 @@ def _conditional_basis(amps_a: np.ndarray, amps_b: np.ndarray, a_outcome: int) -
     # its class, and it overlaps the others as that earlier one does.
     column = amps_a[:, a_outcome]
     amps = amps_b[np.hypot(column.real, column.imag) > ATOL_STATE]
-    rows = amps.view(np.dtype((np.void, amps.itemsize * amps.shape[1]))).ravel()
-    amps = amps[np.sort(np.unique(rows, return_index=True)[1])]
+    order, first = _runs(amps.view(np.dtype((np.void, amps.itemsize * amps.shape[1]))).ravel())
+    keep = np.zeros(len(amps), dtype=bool)
+    keep[order[first]] = True
+    amps = amps[keep]
     overlaps = np.abs(amps.conj() @ amps.T)
     equivalent = np.abs(overlaps - 1.0) <= ATOL_STATE
     if np.any(~equivalent & (overlaps > ATOL_STATE)):
@@ -223,8 +226,7 @@ class MeasureSecondOnly(EveStrategy):
     def __init__(self, state_set: StateSet):
         super().__init__(_require_set(state_set))
         self._comp = MeasurementBasis.computational(state_set.n)
-        amps_b = np.stack([st.ket_b.amps for st in state_set])
-        self._inferred = np.argmax(np.abs(amps_b) ** 2, axis=0)  # over i of |<l|B_i>|^2
+        self._inferred = np.argmax(np.abs(state_set.amps_b) ** 2, axis=0)  # over i of |<l|B_i>|^2
 
     def _intercept_second(self, rnd: EveRound, ket_b: Ket, rng: RngStream) -> Ket:
         outcome, collapsed = projective_measure(ket_b, self._comp, rng)

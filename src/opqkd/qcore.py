@@ -251,6 +251,16 @@ def projective_measure(state: Ket, basis: MeasurementBasis, rng: RngStream) -> t
     return index, basis._canonical[index]
 
 
+def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A stable sorting order of keys, and which of its positions start a
+    run of equal keys (np.unique would load numpy.ma on first use)."""
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = ordered[1:] != ordered[:-1]
+    return order, first
+
+
 def _cumulative(probs: np.ndarray) -> tuple[np.ndarray, float]:
     total = float(probs.sum())
     if total <= 0.0:
@@ -407,7 +417,9 @@ class ProductBornTable:
 
     def _factors_of(self, side: int, index: np.ndarray) -> np.ndarray:
         factors, known = self._factors[side], self._known[side]
-        new = np.unique(index[~known[index]])
+        wanted = np.zeros(len(known), dtype=bool)
+        wanted[index] = True
+        new = np.flatnonzero(wanted & ~known)
         if len(new):
             factors[new] = np.abs(self._kets[side][new] @ self._conj[side]) ** 2
             known[new] = True
@@ -427,8 +439,11 @@ class ProductBornTable:
     def sample(self, i: np.ndarray, k: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Outcome of measuring kets_a[i[j]] (x) kets_b[k[j]] with uniform
         draw u[j], per lane."""
-        pairs, row = np.unique(i * len(self._kets[1]) + k, return_inverse=True)
-        cumulative, totals = self.rows(*np.divmod(pairs, len(self._kets[1])))
+        keys = i * len(self._kets[1]) + k
+        order, first = _runs(keys)
+        row = np.empty(len(keys), dtype=np.int64)
+        row[order] = np.cumsum(first) - 1
+        cumulative, totals = self.rows(*np.divmod(keys[order[first]], len(self._kets[1])))
         target = u * totals[row]
         outcomes = _search(cumulative, row, target)
         last = cumulative.shape[1] - 1

@@ -407,10 +407,10 @@ class ConditionReport:
         return tuple(sorted(out))
 
 
-def _oblique_partners(kets: Sequence[Ket]) -> tuple[bool, ...]:
-    # Row i of the |Gram| matrix, one row at a time so that the whole
-    # n^2 x n^2 matrix never exists; the diagonal entry is 1, never oblique.
-    amps = np.stack([k.amps for k in kets])
+def _oblique_partners(amps: np.ndarray) -> tuple[bool, ...]:
+    # Row i of the |Gram| matrix of the kets amps[i], one row at a time so
+    # that the whole n^2 x n^2 matrix never exists; the diagonal entry is 1,
+    # never oblique.
     out = []
     for row in amps.conj():
         overlaps = np.abs(amps @ row)
@@ -422,8 +422,8 @@ def check_conditions(state_set: StateSet) -> ConditionReport:
     """Check that no single-particle measurement can pin down any state:
     every state must have, on each subsystem, a partner that is neither
     equivalent nor orthogonal to it."""
-    ok_a = _oblique_partners([st.ket_a for st in state_set])
-    ok_b = _oblique_partners([st.ket_b for st in state_set])
+    ok_a = _oblique_partners(state_set.amps_a)
+    ok_b = _oblique_partners(state_set.amps_b)
     return ConditionReport(state_set.n, ok_a, ok_b)
 
 
