@@ -391,8 +391,9 @@ class ProductBornTable:
     kets that may be measured, named by row. The factor |<A_j|a>|^2 of a
     ket is computed on its first use and kept for the table's life, so a
     row |<A_j|a>|^2 |<B_j|b>|^2 costs O(n^2) instead of the O(n^4) of a
-    joint product. Rows live for one `sample` call: only their cumsum and
-    total are formed, for the distinct pairs the call measures.
+    joint product. Rows live for one `sample` call: only their cumsums are
+    formed, for the distinct pairs the call measures, and a row's total is
+    its last cumsum entry.
 
     A lane whose target u*total lies within `guard_band` of a cumsum entry
     beside its outcome is flagged and takes its outcome from
@@ -426,15 +427,15 @@ class ProductBornTable:
         return factors
 
     def rows(self, i: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Cumsums (one row per pair) and totals of the factorised rows of
-        the pairs kets_a[i[r]] (x) kets_b[k[r]]."""
+        """Cumsums (one row per pair) and totals, their last entries, of
+        the factorised rows of the pairs kets_a[i[r]] (x) kets_b[k[r]]."""
         factors_a, factors_b = self._factors_of(0, i), self._factors_of(1, k)
         probs = factors_a[i]
         step = max(1, _BLOCK_FLOATS // probs.shape[1])
         for start in range(0, len(k), step):
             probs[start:start + step] *= factors_b[k[start:start + step]]
-        totals = probs.sum(axis=1)
-        return np.cumsum(probs, axis=1, out=probs), totals
+        cumulative = np.cumsum(probs, axis=1, out=probs)
+        return cumulative, cumulative[:, -1]
 
     def sample(self, i: np.ndarray, k: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Outcome of measuring kets_a[i[j]] (x) kets_b[k[j]] with uniform
