@@ -185,6 +185,8 @@ def mutated_set_texts(draw):
             value = parent[key]
         except (KeyError, IndexError, TypeError):
             continue  # an earlier mutation removed this location
+        if not isinstance(parent, (dict, list)):
+            continue  # an earlier mutation put a string where a container was
         kind = draw(hst.sampled_from(("drop", "swap", "length")))
         if kind == "drop":
             del parent[key]
