@@ -7,6 +7,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from types import SimpleNamespace
 from typing import Iterator
 
 import numpy as np
@@ -67,48 +68,25 @@ class RoundRecord:
     mismatch: bool
 
 
+@dataclass(frozen=True, eq=False)
 class SessionResult:
-    """Outcome of one session: per-round columns, whether the open comparison
-    caught a disturbance, and the raw key indices if it did not.
+    """Outcome of one session, as columns with one entry per round: the int
+    arrays `alice`, `bob`, `a_outcome`, `b_outcome` and `inferred` (-1
+    where the channel recorded nothing) and the bool array `checked`; then
+    the strategy's `variant`, whether the open comparison caught a
+    disturbance, and `key`, the kept labels. `records`, `eve_records` and
+    `key_indices` are built from the columns on first use."""
 
-    The columns are int arrays `alice`, `bob`, `a_outcome`, `b_outcome` and
-    `inferred` (-1 where the channel recorded nothing) and the bool array
-    `checked`; `key` holds the kept labels. `records` and `eve_records` are
-    built from the columns on first use. A result can also be built from
-    records, by keyword."""
-
-    def __init__(
-        self,
-        records: tuple[RoundRecord, ...],
-        detected: bool,
-        key_indices: tuple[int, ...],
-        bits_per_round: float,
-        eve_records: tuple[EveRecord, ...],
-    ):
-        records, eve_records = tuple(records), tuple(eve_records)
-        blank = EveRecord(-1, EveStrategy.variant, None, None, None)
-        eves = eve_records[: len(records)] + (blank,) * (len(records) - len(eve_records))
-        rows = [_round_row(rec.alice_index, rec.bob_index, eve) for rec, eve in zip(records, eves)]
-        self._store(
-            np.array(rows, dtype=np.int64).reshape(-1, 5).T,
-            np.array([rec.checked for rec in records], dtype=bool),
-            (eve_records or (blank,))[0].variant,
-            detected,
-            np.array(key_indices, dtype=np.int64),
-            bits_per_round,
-        )
-        self.__dict__.update(records=records, eve_records=eve_records)
-
-    @classmethod
-    def _from_columns(cls, *fields) -> "SessionResult":
-        result = cls.__new__(cls)
-        result._store(*fields)
-        return result
-
-    def _store(self, columns, checked, variant, detected, key, bits_per_round) -> None:
-        self.alice, self.bob, self.a_outcome, self.b_outcome, self.inferred = columns
-        self.checked, self.variant, self.detected = checked, variant, bool(detected)
-        self.key, self.bits_per_round = key, bits_per_round
+    alice: np.ndarray
+    bob: np.ndarray
+    a_outcome: np.ndarray
+    b_outcome: np.ndarray
+    inferred: np.ndarray
+    checked: np.ndarray
+    variant: str
+    detected: bool
+    key: np.ndarray
+    bits_per_round: float
 
     @cached_property
     def key_indices(self) -> tuple[int, ...]:
@@ -154,6 +132,26 @@ def _round_row(alice: int, bob: int, eve: EveRecord) -> list[int]:
     return [alice, bob, *(-1 if v is None else v for v in outcomes)]
 
 
+def _one_lane(rng: RngStream) -> SimpleNamespace:
+    """The draws of one round, straight from its RngStream, as a single lane
+    with the `integers` and `random` of StreamBlocks."""
+    return SimpleNamespace(integers=lambda upper: np.array([rng.integers(upper)]),
+                           random=lambda: np.array([rng.random()]))
+
+
+def _kernel_columns(size: int, step, bob, draws) -> np.ndarray:
+    """The kernel's columns, as `round_columns` yields them, for the rounds
+    whose draws `draws` hands out, one lane each."""
+    alice = draws.integers(size)
+    *eve, sent = step(alice, draws)
+    columns = np.full((5, len(alice)), -1, dtype=np.int64)
+    columns[0], columns[1] = alice, bob.sample(*sent, draws.random())
+    for row, column in enumerate(eve, start=2):
+        if column is not None:
+            columns[row] = column
+    return columns
+
+
 def round_columns(
     state_set: StateSet, strategy: EveStrategy, seed: int, rounds: int
 ) -> Iterator[np.ndarray]:
@@ -163,32 +161,26 @@ def round_columns(
     nothing), in round order.
 
     Round r draws only from the stream (seed, r). A strategy whose own class
-    defines a kernel runs it over the chunk, and the lanes whose draws it
-    cannot be sure of are replayed through `run_round`; any other strategy
-    plays every round through `run_round`, in order."""
-    kernel = "_kernel" in vars(type(strategy))
-    if kernel:
-        step, forwarded = strategy._kernel(state_set)
-        bob = bob_table(state_set, *forwarded)
-    joint_basis = None
-    for start in range(0, rounds, CHUNK_ROUNDS):
-        ids = range(start, min(start + CHUNK_ROUNDS, rounds))
-        columns = np.full((5, len(ids)), -1, dtype=np.int64)
-        replay = ids
-        if kernel:
-            draws = StreamBlocks(philox_block(seed, np.array(ids)))
-            columns[0] = draws.integers(len(state_set))
-            *eve, sent = step(columns[0], draws)
-            columns[1] = bob.sample(*sent, draws.random())
-            for row, column in enumerate(eve, start=2):
-                if column is not None:
-                    columns[row] = column
-            replay = [ids[lane] for lane in np.flatnonzero(draws.unsure).tolist()]
-        for round_id in replay:
-            if joint_basis is None:
-                joint_basis = bob_basis(state_set)
-            columns[:, round_id - start] = _round_row(*run_round(
-                state_set, joint_basis, strategy, round_id, RngStream(seed, round_id)))
+    defines a kernel runs it over the chunk, and each lane whose draws the
+    chunk cannot be sure of runs through the same kernel and tables again,
+    alone, on its own RngStream; any other strategy plays every round
+    through `run_round`, in order."""
+    chunks = [range(start, min(start + CHUNK_ROUNDS, rounds))
+              for start in range(0, rounds, CHUNK_ROUNDS)]
+    if "_kernel" not in vars(type(strategy)):
+        joint_basis = bob_basis(state_set)
+        for ids in chunks:
+            yield np.array([_round_row(*run_round(
+                state_set, joint_basis, strategy, r, RngStream(seed, r))) for r in ids]).T
+        return
+    step, forwarded = strategy._kernel(state_set)
+    bob = bob_table(state_set, *forwarded)
+    for ids in chunks:
+        draws = StreamBlocks(philox_block(seed, np.array(ids)))
+        columns = _kernel_columns(len(state_set), step, bob, draws)
+        for lane in np.flatnonzero(draws.unsure).tolist():
+            columns[:, lane:lane + 1] = _kernel_columns(
+                len(state_set), step, bob, _one_lane(RngStream(seed, ids[lane])))
         yield columns
 
 
@@ -209,8 +201,8 @@ def run_session(config: ProtocolConfig) -> SessionResult:
     detected = bool(np.any(checked & (alice != bob)))
     key = bob[:0] if detected else bob[~checked]
     bits_per_round = math.log2(len(state_set))
-    return SessionResult._from_columns(
-        columns, checked, config.strategy.variant, detected, key, bits_per_round)
+    return SessionResult(
+        *columns, checked, config.strategy.variant, detected, key, bits_per_round)
 
 
 def wilson_interval(successes: int, trials: int, z: float = _Z_95) -> tuple[float, float]:

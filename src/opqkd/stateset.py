@@ -55,8 +55,11 @@ def check_dim(what: str, n: int) -> int:
 
 
 def _unit_pair(x: complex, y: complex, names: str) -> None:
-    s = abs(x) ** 2 + abs(y) ** 2
-    if abs(s - 1.0) > ATOL_EXACT:
+    try:
+        s = abs(x) ** 2 + abs(y) ** 2
+    except OverflowError:
+        s = math.inf
+    if not abs(s - 1.0) <= ATOL_EXACT:  # a nan sum fails too
         raise ValueError(f"|{names[0]}|^2 + |{names[1]}|^2 = {s!r}, expected 1")
 
 

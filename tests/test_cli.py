@@ -10,10 +10,11 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as hst
+from hypothesis import HealthCheck, example, given, settings, strategies as hst
 
 from conftest import set_from_cellsets
 from opqkd import build_3x3, build_symmetric, cli, p3_formula, stateset_from_text, stateset_to_text
+from opqkd.adversary import ATTACK_NAMES, STRATEGY_NAMES
 from opqkd.cli import SEED_ENV_VAR, main
 from opqkd.errors import InvalidSetError, UnsupportedDimensionError
 from opqkd.stateset import MAX_DIM, SetParameters
@@ -618,3 +619,72 @@ def test_key_material_matches_digit_by_digit_packing(case):
     bit_count = int(math.floor(len(digits) * math.log2(base))) if digits else 0
     expected = format(value & ((1 << bit_count) - 1), f"0{bit_count}b") if bit_count else ""
     assert cli._key_material(np.array(digits, dtype=np.int64), base) == (bit_count, expected)
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "--params", "1e200,0,1,0,1,0,1,0"],
+    ["simulate", "--params", "1,0,1,0,1,0,1e155j,0"],
+    ["exact", "--params", "1e308+1e308j,0,1,0,1,0,1,0"],
+    ["validate", "--params", "nan,0,1,0,1,0,1,0"],
+    ["simulate", "--params", "1,0,1,0,1,0,1,nan"],
+])
+def test_huge_or_nan_params_fail_the_unit_check(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        assert main(argv) == 1
+    assert out.getvalue() == ""
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: |")
+    assert lines[0].endswith(("= inf, expected 1", "= nan, expected 1"))
+
+
+_FUZZ_SEEDS = hst.one_of(hst.integers(-2, 3), hst.integers(2**64 - 3, 2**64 + 1))
+_FUZZ_FRACTIONS = hst.one_of(
+    hst.sampled_from([0.0, 1.0, math.nan, math.inf, -math.inf]), hst.floats(-0.5, 1.5))
+_FUZZ_AMPLITUDES = hst.sampled_from(
+    ["0", "1", "-1", "0.6", "0.8", "0.7071067811865476", "1e200", "1e155j", "nan", "inf"])
+
+
+@hst.composite
+def cli_argvs(draw, missing):
+    """Small, well-typed command lines for every subcommand but the file
+    outputs: any seed near the ends of its range, odd check fractions,
+    huge or non-finite amplitudes and a set file that does not exist."""
+    command = draw(hst.sampled_from(["simulate", "exact", "sweep", "demo", "validate"]))
+    seed = [f"--seed={draw(_FUZZ_SEEDS)}"]
+    set_args = draw(hst.sampled_from([
+        ["--dim", str(draw(hst.integers(3, 6)))],
+        ["--params=" + ",".join(draw(hst.lists(_FUZZ_AMPLITUDES, min_size=8, max_size=8)))],
+        ["--set-file", missing],
+    ]))
+    if command == "simulate":
+        return [command, *set_args, *seed, "--strategy", draw(hst.sampled_from(STRATEGY_NAMES)),
+                "--rounds", str(draw(hst.integers(0, 300))),
+                f"--check-fraction={draw(_FUZZ_FRACTIONS)!r}"]
+    if command == "exact":
+        return [command, *set_args, "--strategy", draw(hst.sampled_from(ATTACK_NAMES))]
+    if command == "sweep":
+        return [command, *seed, "--strategy", draw(hst.sampled_from(ATTACK_NAMES)),
+                "--max-dim", str(draw(hst.integers(3, 5))),
+                "--trials", str(draw(hst.integers(0, 50))),
+                "--exact-budget", str(draw(hst.integers(0, 5)))]
+    if command == "demo":
+        return [command, *seed]
+    return [command, *set_args]
+
+
+_MISSING_SET = os.path.join("no-such-directory", "set.json")
+
+
+@settings(max_examples=200, deadline=None)
+@example(argv=["validate", "--params", "1e200,0,1,0,1,0,1,0"])
+@given(argv=cli_argvs(_MISSING_SET))
+def test_fuzzed_command_lines_exit_cleanly(argv):
+    err = io.StringIO()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 1, 2, 3)
+    lines = err.getvalue().splitlines()
+    assert lines == [] or (len(lines) == 1 and lines[0].startswith("error: "))

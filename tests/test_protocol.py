@@ -1,13 +1,17 @@
+import dataclasses
 import math
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as hst
 
 from opqkd import (
     EveStrategy,
     InsufficientDataError,
+    MeasurementBasis,
     ProtocolConfig,
     RngStream,
-    SessionResult,
+    StateSet,
     bob_basis,
     build_symmetric,
     detection_probability,
@@ -17,7 +21,8 @@ from opqkd import (
     summarize_session,
     wilson_interval,
 )
-from opqkd import protocol
+from opqkd import adversary, protocol
+from opqkd.adversary import STRATEGY_NAMES
 from opqkd.protocol import round_columns
 
 
@@ -131,13 +136,7 @@ def test_leg_order_is_first_then_second():
 def test_detection_probability_requires_checked_rounds():
     s = build_symmetric(3)
     result = run_session(ProtocolConfig(s, rounds=20, check_fraction=0.2, seed=1))
-    unchecked = SessionResult(
-        records=tuple(r for r in result.records if not r.checked),
-        detected=False,
-        key_indices=result.key_indices,
-        bits_per_round=result.bits_per_round,
-        eve_records=(),
-    )
+    unchecked = dataclasses.replace(result, checked=np.zeros_like(result.checked))
     with pytest.raises(InsufficientDataError):
         detection_probability(unchecked)
 
@@ -181,27 +180,91 @@ def test_summarize_session_honest_channel():
     assert report.key_rounds == 90
 
 
-def test_unsure_lane_is_replayed_through_run_round(monkeypatch):
-    s = build_symmetric(3)
-    strategy = make_strategy("substitute", s)
-    (expected,) = round_columns(s, strategy, 5, 40)
-    real_block, real_round = protocol.philox_block, protocol.run_round
-    replayed = []
+def _crafted_columns(monkeypatch, state_set, name, seed, rounds, halves):
+    """round_columns with the halves of word 0 named per lane in `halves`
+    (0 low, 1 high) zeroed: a zero low half makes Lemire's method reject
+    any bound that is not a power of two, and so does a zero high half for
+    the substitute index. Returns the columns and the stream ids, calls to
+    run_round and bob_basis, and basis dimensions seen meanwhile."""
+    real_block = protocol.philox_block
+    seen = {"streams": [], "run_round": 0, "bob_basis": 0, "basis_dims": []}
 
     def crafted_block(seed, ids):
         words = real_block(seed, ids)
-        words[0, 17] = 0  # Lemire's method rejects a low half of 0 below 9
+        for lane, zeroed in halves.items():
+            for half in zeroed:
+                words[0, lane] &= ~np.uint64(0xFFFFFFFF << (32 * half))
         return words
 
-    def spy_round(state_set, joint_basis, strat, round_id, rng):
-        replayed.append((round_id, rng.stream_id))
-        return real_round(state_set, joint_basis, strat, round_id, rng)
+    def counted(key, fn):
+        def spy(*args, **kwargs):
+            seen[key] += 1
+            return fn(*args, **kwargs)
+        return spy
 
-    monkeypatch.setattr(protocol, "philox_block", crafted_block)
-    monkeypatch.setattr(protocol, "run_round", spy_round)
-    (got,) = round_columns(s, strategy, 5, 40)
-    assert replayed == [(17, 17)]
+    def spy_stream(seed, stream_id=0):
+        seen["streams"].append(stream_id)
+        return RngStream(seed, stream_id)
+
+    real_init = MeasurementBasis.__init__
+
+    def spy_basis(self, vectors):
+        vectors = tuple(vectors)
+        seen["basis_dims"].append(vectors[0].dim if vectors else 0)
+        real_init(self, vectors)
+
+    strategy = make_strategy(name, state_set)
+    with monkeypatch.context() as patch:
+        patch.setattr(protocol, "philox_block", crafted_block)
+        patch.setattr(protocol, "RngStream", spy_stream)
+        patch.setattr(protocol, "run_round", counted("run_round", protocol.run_round))
+        patch.setattr(protocol, "bob_basis", counted("bob_basis", protocol.bob_basis))
+        patch.setattr(adversary, "bob_basis", counted("bob_basis", adversary.bob_basis))
+        patch.setattr(MeasurementBasis, "__init__", spy_basis)
+        columns = np.concatenate(list(round_columns(state_set, strategy, seed, rounds)), axis=1)
+    return columns, seen
+
+
+def test_unsure_lanes_are_replayed_through_the_kernel(monkeypatch):
+    # a lane whose draw Lemire's method rejects runs through the strategy's
+    # kernel alone, on its own stream, and never builds the n^2 basis
+    for n in (5, 6):
+        s = build_symmetric(n)
+        for name in STRATEGY_NAMES:
+            (expected,) = round_columns(s, make_strategy(name, s), 5, 40)
+            got, seen = _crafted_columns(monkeypatch, s, name, 5, 40, {17: (0,)})
+            assert got.tolist() == expected.tolist(), (n, name)
+            assert seen["streams"] == [17]
+            assert seen["run_round"] == seen["bob_basis"] == 0
+            assert n * n not in seen["basis_dims"]
+
+
+_SETS: dict = {}
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(seed=hst.integers(0, 2**64 - 1), n=hst.sampled_from([3, 5, 6, 7]),
+       name=hst.sampled_from(STRATEGY_NAMES), rounds=hst.integers(1, 64), data=hst.data())
+def test_crafted_lanes_give_the_uncrafted_columns(monkeypatch, seed, n, name, rounds, data):
+    # powers of two divide 2^32 and never flag a lane, so they are left out
+    halves = data.draw(hst.dictionaries(
+        hst.integers(0, rounds - 1), hst.sets(hst.sampled_from([0, 1]), min_size=1), max_size=6))
+    s = _SETS.setdefault(n, build_symmetric(n))
+    (expected,) = round_columns(s, make_strategy(name, s), seed, rounds)
+    got, seen = _crafted_columns(monkeypatch, s, name, seed, rounds, halves)
     assert got.tolist() == expected.tolist()
+    assert set(seen["streams"]) >= {lane for lane, zeroed in halves.items() if 0 in zeroed}
+
+
+def test_forced_replay_builds_no_joint_matrix(monkeypatch):
+    # structure only: at n = 41 a replayed substitute lane forms neither
+    # the joint matrix nor any basis of dimension n^2
+    s = build_symmetric(41)
+    touched = []
+    monkeypatch.setattr(StateSet, "joint_matrix", property(lambda self: touched.append(1)))
+    _, seen = _crafted_columns(monkeypatch, s, "substitute", 3, 20, {4: (0, 1)})
+    assert seen["streams"] == [4]
+    assert not touched and max(seen["basis_dims"], default=0) < 41 * 41
 
 
 def test_session_columns_and_records_agree():
@@ -212,8 +275,16 @@ def test_session_columns_and_records_agree():
     assert [r.checked for r in result.records] == result.checked.tolist()
     assert [e.inferred_state for e in result.eve_records] == result.inferred.tolist()
     assert all(e.variant == "intercept-resend-conditional" for e in result.eve_records)
-    rebuilt = SessionResult(records=result.records, detected=result.detected,
-                            key_indices=result.key_indices,
-                            bits_per_round=result.bits_per_round,
-                            eve_records=result.eve_records)
+    eves = [[-1 if v is None else v for v in (e.a_outcome, e.b_outcome, e.inferred_state)]
+            for e in result.eve_records]
+    a_outcome, b_outcome, inferred = np.array(eves).T
+    rebuilt = dataclasses.replace(
+        result,
+        alice=np.array([r.alice_index for r in result.records]),
+        bob=np.array([r.bob_index for r in result.records]),
+        checked=np.array([r.checked for r in result.records]),
+        a_outcome=a_outcome, b_outcome=b_outcome, inferred=inferred,
+        key=np.array(result.key_indices, dtype=np.int64))
+    assert rebuilt.records == result.records
+    assert rebuilt.eve_records == result.eve_records
     assert summarize_session(rebuilt) == summarize_session(result)
