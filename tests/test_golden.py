@@ -272,6 +272,28 @@ GOLDEN_COUNTS: dict[str, int] = {
     "substitute-9": 41,
 }
 
+# The set files `validate --export` writes: every tile's cells, labels and
+# amplitudes and every state's kets, as repr floats, so these pin the bytes
+# of each construction.
+EXPORT_CASES = [(f"export-{n}", ["--dim", str(n)]) for n in (3, 4, 5, 8, 9, 25)]
+EXPORT_CASES.append(("export-degenerate", ["--params", DEGENERATE]))
+GOLDEN_EXPORTS: dict[str, str] = {
+    "export-3":
+        "832c55e7556836378aec0f10aa7a6e0b3c0550c71fe9b42962def8d64c4ed1b1",
+    "export-4":
+        "221e4dcaa580f55cc5ff0dae690bb95c77a139a5214a429a27bfb8ff696d8418",
+    "export-5":
+        "a99edbd64d705867f5dbc44fac426bdb83faa9cd118b8336a8deb889d7da35bd",
+    "export-8":
+        "cfc3ba5f992398edc31e60888d44cad7ee8e0abc2732a440c3cd87fc8d674e82",
+    "export-9":
+        "4b1f979781594b021492d20fcd33a15a37edefed4e05e446183c9f3f57f5e6f9",
+    "export-25":
+        "a6c5dfe22784e306184056bc1edfda523ddc9fb42b6a96cce8f5b01f62d8bd7f",
+    "export-degenerate":
+        "2978fb4ba4ac526fe801baafc8e9494f9848d0e5b8284288df417c2d57a402fc",
+}
+
 
 def test_cli_outputs_match_golden_digests(tmp_path):
     got = compute_digests(tmp_path)
@@ -311,3 +333,12 @@ def test_transcripts_match_golden_at_n25(tmp_path):
                      "--output", str(tmp_path / "report")]) == 0
         got[strategy] = _digest(path.read_bytes())
     assert got == GOLDEN_TRANSCRIPTS_25
+
+
+def test_exported_set_files_match_golden(tmp_path):
+    got = {}
+    for name, argv in EXPORT_CASES:
+        path = tmp_path / name
+        main(["validate", *argv, "--output", str(tmp_path / "report"), "--export", str(path)])
+        got[name] = _digest(path.read_bytes())
+    assert got == GOLDEN_EXPORTS
