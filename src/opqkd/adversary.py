@@ -185,10 +185,11 @@ class ConditionalInterceptResend(EveStrategy):
         self._comp = MeasurementBasis.computational(n)
         amps_a, amps_b = state_set.amps_a, state_set.amps_b
         self._b_bases = tuple(_conditional_basis(amps_a, amps_b, m) for m in range(n))
-        # posterior[m, v, i] = |<m|A_i>|^2 |<v|B_i>|^2 in the basis matched to m
+        # inferred[m, v] maximises |<m|A_i>|^2 |<v|B_i>|^2 over i, v in the basis matched to m
         weight_a = np.abs(amps_a.T) ** 2
-        weight_b = np.stack([np.abs(basis.matrix.conj() @ amps_b.T) ** 2 for basis in self._b_bases])
-        self._inferred = np.argmax(weight_a[:, None, :] * weight_b, axis=2)
+        self._inferred = np.stack([
+            np.argmax(weight_a[m] * np.abs(b.matrix.conj() @ amps_b.T) ** 2, axis=1)
+            for m, b in enumerate(self._b_bases)])
 
     def _intercept_first(self, rnd: EveRound, ket_a: Ket, rng: RngStream) -> Ket:
         outcome, collapsed = projective_measure(ket_a, self._comp, rng)

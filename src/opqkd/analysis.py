@@ -213,6 +213,8 @@ def dimension_sweep(
     everywhere, optional Monte Carlo when trials > 0."""
     if max_n < 3:
         raise ValueError("sweep needs max_n >= 3")
+    if trials < 0:
+        raise ValueError(f"sweep needs trials >= 0, got {trials}")
     name = canonical_variant(variant)
     rows = []
     for n in range(3, max_n + 1):

@@ -13,6 +13,7 @@ import math
 import os
 import sys
 import tempfile
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -25,7 +26,7 @@ from .adversary import (
 )
 from .analysis import dimension_sweep, exact_treatment, exact_undetected_prob
 from .errors import InsufficientDataError, InvalidSetError, UnsupportedDimensionError
-from .protocol import ProtocolConfig, run_session, summarize_session
+from .protocol import CHUNK_ROUNDS, ProtocolConfig, run_session, summarize_session
 from .qcore import MeasurementBasis, RngStream, born_probabilities, key_word, tensor
 from .stateset import (
     MEMORY_BUDGET_BYTES,
@@ -43,26 +44,27 @@ from .stateset import (
 
 SEED_ENV_VAR = "OPQKD_SEED"
 _KEY_PREVIEW_BITS = 64
-# `simulate` holds its whole session and output text in memory. Peak bytes
-# per round, measured at n = 9 and 31 over 200k and 800k rounds and rounded
-# up: the session's columns, check subset and key, plus each transcript
-# asked for. A run may use at most MEMORY_BUDGET_BYTES of them.
-_SESSION_BYTES_PER_ROUND = 160
-_TRANSCRIPT_BYTES_PER_ROUND = 400
+# `simulate` holds its whole session in memory: at most 160 bytes per round
+# (peaks at n = 9 and 31 over 200k and 800k rounds, rounded up). Transcripts
+# are written a block of rows at a time and add nothing per round.
+_MAX_ROUNDS = MEMORY_BUDGET_BYTES // 160
 
 
-def _write_atomic(path: str, text: str) -> None:
-    """Write via a temporary file in the target directory, then rename."""
+def _write_atomic(path: str, blocks: Iterable[str]) -> None:
+    """Write text blocks via a temporary file in the target directory, then
+    rename. An OS error names the target path, not the temporary file."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".opqkd-", suffix=".tmp")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".opqkd-", suffix=".tmp")
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+            handle.writelines(blocks)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from exc
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def _resolve_seed(args) -> int:
@@ -121,25 +123,31 @@ def _cell(value) -> str:
     return "" if value is None else value if isinstance(value, str) else _fmt(value)
 
 
-def _label_cells(column: np.ndarray, size: int) -> list[str]:
-    """Cells of an int column with entries in [0, size), or -1 for an empty
-    cell. Equal entries share one string."""
+def _round_blocks(size: int, columns: Sequence[np.ndarray], *lead: str) -> Iterator[list]:
+    """The cells of a transcript, CHUNK_ROUNDS rows at a time: the round
+    ids, each `lead` text on every row, then int or bool columns whose
+    entries lie in [0, size), or are -1 for an empty cell. Equal entries
+    share one string."""
     table = [*map(str, range(size)), ""]
-    return [table[v] for v in column.tolist()]
+    for start in range(0, len(columns[0]), CHUNK_ROUNDS):
+        ids = range(start, min(start + CHUNK_ROUNDS, len(columns[0])))
+        yield [list(map(str, ids)), *([text] * len(ids) for text in lead),
+               *([table[v] for v in column[ids.start:ids.stop].tolist()] for column in columns)]
 
 
-def _csv_text(headers: list[str], columns: list[list[str]]) -> str:
-    """CSV text of a header line and equal-length columns of cells, one
-    line per row. The cells written here (numbers, strategy names, empty)
-    never need quoting."""
-    lines = [",".join(headers), *map(",".join, zip(*columns))]
-    return "\n".join(lines) + "\n"
+def _csv_text(headers: list[str], blocks: Iterable[list[list[str]]]) -> Iterator[str]:
+    """CSV text of a header line, then one line per row of each block of
+    equal-length, non-empty columns of cells. The cells written here
+    (numbers, strategy names, empty) never need quoting."""
+    yield ",".join(headers) + "\n"
+    for columns in blocks:
+        yield "\n".join(map(",".join, zip(*columns))) + "\n"
 
 
 def _emit(args, text: str) -> None:
     output = getattr(args, "output", None)
     if output:
-        _write_atomic(output, text)
+        _write_atomic(output, [text])
     else:
         sys.stdout.write(text)
 
@@ -171,7 +179,7 @@ def cmd_validate(args) -> int:
     ]
     _emit(args, _report_text("validate", pairs))
     if args.export:
-        _write_atomic(args.export, stateset_to_text(state_set))
+        _write_atomic(args.export, [stateset_to_text(state_set)])
     return 0 if report.passed else 1
 
 
@@ -209,17 +217,10 @@ def _radix_value(digits: np.ndarray, base: int) -> int:
     return values[0]
 
 
-def _max_rounds(args) -> int:
-    transcripts = sum(path is not None for path in (args.transcript, args.eve_transcript))
-    per_round = _SESSION_BYTES_PER_ROUND + transcripts * _TRANSCRIPT_BYTES_PER_ROUND
-    return MEMORY_BUDGET_BYTES // per_round
-
-
 def cmd_simulate(args) -> int:
-    ceiling = _max_rounds(args)
-    if args.rounds > ceiling:
-        print(f"error: --rounds {args.rounds} exceeds {ceiling}, the most whose session "
-              f"and transcripts fit in {MEMORY_BUDGET_BYTES >> 20} MiB", file=sys.stderr)
+    if args.rounds > _MAX_ROUNDS:
+        print(f"error: --rounds {args.rounds} exceeds {_MAX_ROUNDS}, the most whose session "
+              f"fits in {MEMORY_BUDGET_BYTES >> 20} MiB", file=sys.stderr)
         return 2
     seed = _resolve_seed(args)
     state_set, desc = _load_set(args)
@@ -260,21 +261,20 @@ def cmd_simulate(args) -> int:
     )
     _emit(args, _report_text("simulate", pairs, comments))
 
-    rounds, size = len(result.alice), len(state_set)
-    round_ids = list(map(str, range(rounds))) if args.transcript or args.eve_transcript else []
+    size = len(state_set)
     if args.transcript:
         columns = (result.alice, result.bob, result.checked, result.alice != result.bob)
         _write_atomic(args.transcript, _csv_text(
             ["round_id", "alice_index", "bob_index", "checked", "mismatch"],
-            [round_ids, *(_label_cells(col.astype(np.int64), size) for col in columns)]))
+            _round_blocks(size, columns)))
     if args.eve_transcript:
         correct = np.where(result.inferred < 0, -1, result.inferred == result.alice)
         columns = (result.a_outcome, result.b_outcome, result.inferred, correct)
         _write_atomic(args.eve_transcript, _csv_text(
             ["round_id", "variant", "a_outcome", "b_outcome", "inferred_state", "correct"],
-            [round_ids, [result.variant] * rounds, *(_label_cells(col, size) for col in columns)]))
+            _round_blocks(size, columns, result.variant)))
     if args.key_out:
-        _write_atomic(args.key_out, bits + "\n")
+        _write_atomic(args.key_out, [bits + "\n"])
     return 0
 
 
@@ -309,10 +309,10 @@ def cmd_sweep(args) -> int:
          r.mc_estimate, r.ci_low, r.ci_high, r.trials, r.seed]
         for r in rows
     ]
-    text = _csv_text(
+    text = "".join(_csv_text(
         ["n", "strategy", "exact", "closed_form", "gap_to_half",
          "mc_estimate", "ci_low", "ci_high", "trials", "seed"],
-        [list(map(_cell, column)) for column in zip(*table)])
+        [[list(map(_cell, column)) for column in zip(*table)]]))
     _emit(args, text)
     return 0
 

@@ -3,7 +3,7 @@
 A set is described by a tiling of the grid: each tile occupies cells in a
 single row or column (or one cell), and hosts as many mutually orthogonal
 product states as it has cells. The nine-state 3x3 family is parameterized;
-larger sets come from a recursive ring construction.
+larger sets wrap rings of four tiles around a small core.
 """
 from __future__ import annotations
 
@@ -21,7 +21,7 @@ from .qcore import (
     Ket,
     MeasurementBasis,
     ProductBornTable,
-    basis_ket,
+    _checked,
     born_rows,
     joint_amps,
     near_identity,
@@ -193,30 +193,40 @@ class ProductState:
         return tensor(self.ket_a, self.ket_b)
 
 
-def states_from_tiles(n: int, tiles: Sequence[Tile]) -> tuple[ProductState, ...]:
-    """Realize every tile's hosted states as explicit product states."""
-    out: dict[int, ProductState] = {}
+def _tile_amps(n: int, tiles: Sequence[Tile]) -> tuple[np.ndarray, np.ndarray]:
+    """The A-parts and the B-parts of the states the tiles host, one row per
+    label, read-only. A column tile spreads its A-parts over its rows and
+    fixes B; a row tile or a singleton fixes A at its row and spreads its
+    B-parts over its columns."""
+    labels = [k for tile in tiles for k in tile.state_indices]
+    if sorted(labels) != list(range(n * n)):
+        raise ValueError("hosted state labels must be exactly 0..n^2-1")
+    amps_a = np.zeros((n * n, n), dtype=np.complex128)
+    amps_b = np.zeros((n * n, n), dtype=np.complex128)
     for tile in tiles:
-        for k, label in enumerate(tile.state_indices):
-            spread = np.zeros(n, dtype=np.complex128)
-            if tile.orientation == "row":
-                for t, (_, b) in enumerate(tile.cells):
-                    spread[b] = tile.amplitudes[k, t]
-                ket_a = basis_ket(n, tile.fixed_index)
-                ket_b = Ket(spread)
-            elif tile.orientation == "col":
-                for t, (a, _) in enumerate(tile.cells):
-                    spread[a] = tile.amplitudes[k, t]
-                ket_a = Ket(spread)
-                ket_b = basis_ket(n, tile.fixed_index)
-            else:
-                a, b = tile.cells[0]
-                phase = tile.amplitudes[0, 0]
-                spread[b] = phase
-                ket_a = basis_ket(n, a)
-                ket_b = Ket(spread)
-            out[label] = ProductState(label, ket_a, ket_b)
-    return tuple(out[i] for i in sorted(out))
+        rows = list(tile.state_indices)
+        a, b = zip(*tile.cells)
+        if tile.orientation == "col":
+            amps_a[np.ix_(rows, a)] = tile.amplitudes
+            amps_b[rows, tile.fixed_index] = 1.0
+        else:
+            amps_a[rows, a[0]] = 1.0
+            amps_b[np.ix_(rows, b)] = tile.amplitudes
+    amps_a.setflags(write=False)
+    amps_b.setflags(write=False)
+    return amps_a, amps_b
+
+
+def states_from_tiles(n: int, tiles: Sequence[Tile]) -> tuple[ProductState, ...]:
+    """Realize every tile's hosted states as explicit product states, in
+    label order; the labels must be exactly 0..n^2-1.
+
+    Each `Tile` has checked its amplitude matrix unitary at ATOL_EXACT, so
+    every part is a unit vector already and is wrapped without checking it
+    again, as `tensor` wraps a product of checked kets."""
+    amps_a, amps_b = _tile_amps(n, tiles)
+    return tuple(ProductState(i, _checked(a), _checked(b))
+                 for i, (a, b) in enumerate(zip(amps_a, amps_b)))
 
 
 class StateSet:
@@ -263,22 +273,16 @@ class StateSet:
     @staticmethod
     def _check_layout_consistency(states: Sequence[ProductState], layout: DominoLayout) -> None:
         # Each hosted state must live on its tile's cells (up to global phase).
-        rebuilt = states_from_tiles(layout.n, layout.tiles)
-        for st, ref in zip(states, rebuilt):
-            if not (
-                states_equivalent(st.ket_a, ref.ket_a, ATOL_STATE)
-                and states_equivalent(st.ket_b, ref.ket_b, ATOL_STATE)
-            ):
+        for st, a, b in zip(states, *_tile_amps(layout.n, layout.tiles)):
+            if not (states_equivalent(st.ket_a, _checked(a), ATOL_STATE)
+                    and states_equivalent(st.ket_b, _checked(b), ATOL_STATE)):
                 raise InvalidSetError(f"state {st.index} does not match its tile")
 
     @property
     def joint_matrix(self) -> np.ndarray:
         """The joint states, one row each: the numbers of `bob_basis`."""
         if self._joint is None:
-            n = self.n
-            joint = np.empty((n * n, n * n), dtype=np.complex128)
-            for row, st in zip(joint, self.states):
-                np.multiply.outer(st.ket_a.amps, st.ket_b.amps, out=row.reshape(n, n))
+            joint = (self.amps_a[:, :, None] * self.amps_b[:, None, :]).reshape(len(self), -1)
             joint.setflags(write=False)
             object.__setattr__(self, "_joint", joint)
         return self._joint
@@ -333,44 +337,35 @@ def _fourier_amps(length: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.outer(k, k) / length) / math.sqrt(length)
 
 
-def _shift_tile(tile: Tile, offset: int) -> Tile:
-    cells = tuple((a + offset, b + offset) for a, b in tile.cells)
-    return Tile(tile.orientation, tile.fixed_index + offset, cells, tile.amplitudes, tile.state_indices)
+def _ring(o: int, s: int, amps: np.ndarray, first: int) -> list[Tile]:
+    # Four runs of s - 1 cells winding around the s x s square whose corner
+    # is (o, o), hosting labels first .. first + 4(s - 1) - 1.
+    far = o + s - 1
+    run, rest = range(o, far), range(o + 1, far + 1)
+    labels = np.arange(first, first + 4 * (s - 1)).reshape(4, -1)
+    return [
+        Tile("row", o, tuple((o, b) for b in run), amps, labels[0]),
+        Tile("col", far, tuple((a, far) for a in run), amps, labels[1]),
+        Tile("row", far, tuple((far, b) for b in rest), amps, labels[2]),
+        Tile("col", o, tuple((a, o) for a in rest), amps, labels[3]),
+    ]
 
 
 def _symmetric_tiles(n: int) -> tuple[Tile, ...]:
-    if n == 3:
-        h = _SQRT_HALF
-        return (
-            _pair_tile("row", 0, ((0, 0), (0, 1)), h, h, (0, 1)),
-            _pair_tile("col", 2, ((0, 2), (1, 2)), h, h, (2, 3)),
-            _pair_tile("row", 2, ((2, 1), (2, 2)), h, h, (4, 5)),
-            _pair_tile("col", 0, ((1, 0), (2, 0)), h, h, (6, 7)),
-            Tile("singleton", 1, ((1, 1),), np.array([[1.0]]), (8,)),
-        )
-    if n == 4:
-        inner_tiles = tuple(
-            Tile("singleton", a, ((a, b),), np.array([[1.0]]), (2 * (a - 1) + (b - 1),))
-            for a in (1, 2)
-            for b in (1, 2)
-        )
-        base = 4
+    # The core, then rings from the inside out: the ring of side s sits at
+    # offset (n - s) / 2 and hosts labels (s - 2)^2 .. s^2 - 1. The 3x3 core
+    # is a ring of balanced pairs around a singleton labelled 8.
+    if n % 2:
+        o, h = (n - 3) // 2, _SQRT_HALF
+        tiles = _ring(o, 3, np.array([[h, h], [h, -h]]), 0)
+        tiles.append(Tile("singleton", o + 1, ((o + 1, o + 1),), np.array([[1.0]]), (8,)))
     else:
-        inner_tiles = tuple(_shift_tile(t, 1) for t in _symmetric_tiles(n - 2))
-        base = (n - 2) ** 2
-    length = n - 1
-    amps = _fourier_amps(length)
-    ring = (
-        Tile("row", 0, tuple((0, b) for b in range(n - 1)), amps,
-             tuple(range(base, base + length))),
-        Tile("col", n - 1, tuple((a, n - 1) for a in range(n - 1)), amps,
-             tuple(range(base + length, base + 2 * length))),
-        Tile("row", n - 1, tuple((n - 1, b) for b in range(1, n)), amps,
-             tuple(range(base + 2 * length, base + 3 * length))),
-        Tile("col", 0, tuple((a, 0) for a in range(1, n)), amps,
-             tuple(range(base + 3 * length, base + 4 * length))),
-    )
-    return inner_tiles + ring
+        o = (n - 2) // 2
+        tiles = [Tile("singleton", a, ((a, b),), np.array([[1.0]]), (2 * (a - o) + b - o,))
+                 for a in (o, o + 1) for b in (o, o + 1)]
+    for s in range(5 if n % 2 else 4, n + 1, 2):
+        tiles += _ring((n - s) // 2, s, _fourier_amps(s - 1), (s - 2) ** 2)
+    return tuple(tiles)
 
 
 def build_symmetric(n: int) -> StateSet:
@@ -586,7 +581,7 @@ def is_four_fold_symmetric(layout: DominoLayout) -> bool:
 
 def bob_basis(state_set: StateSet) -> MeasurementBasis:
     """The joint measurement that identifies every state in the set."""
-    return MeasurementBasis([st.joint() for st in state_set])
+    return MeasurementBasis([_checked(row) for row in state_set.joint_matrix])
 
 
 def bob_table(state_set: StateSet, kets_a: np.ndarray, kets_b: np.ndarray) -> ProductBornTable:

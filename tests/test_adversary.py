@@ -402,6 +402,23 @@ def test_conditional_basis_kets_equal_scalar_canonical_phase():
                 assert c.amps.tobytes() == canonical_phase(v).amps.tobytes()
 
 
+def test_inferred_table_is_the_argmax_of_the_whole_posterior():
+    sets = [build_symmetric(n) for n in range(3, 10)]
+    sets += [build_3x3(random_parameters(np.random.default_rng(seed))) for seed in range(20)]
+    built = 0
+    for s in sets:
+        try:
+            eve = ConditionalInterceptResend(s)
+        except InvalidSetError:
+            continue
+        built += 1
+        # posterior[m, v, i] = |<m|A_i>|^2 |<v|B_i>|^2, v in the basis matched to m
+        weight_a = np.abs(s.amps_a.T) ** 2
+        weight_b = np.stack([np.abs(b.matrix.conj() @ s.amps_b.T) ** 2 for b in eve._b_bases])
+        whole = np.argmax(weight_a[:, None, :] * weight_b, axis=2)
+        assert eve._inferred.tobytes() == whole.tobytes()
+    assert built > len(sets) // 2
+
 def test_kernels_match_hooks_round_by_round():
     # columns for each strategy equal run_round on each round's own stream
     s = build_symmetric(4)

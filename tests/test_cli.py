@@ -115,6 +115,20 @@ def test_validate_malformed_set_file_fails_cleanly(tmp_path):
     assert "verdict = fail" in out.getvalue()
 
 
+def test_validate_set_file_with_two_states_swapped_fails(tmp_path):
+    doc = json.loads(stateset_to_text(build_symmetric(4)))
+    first, second = doc["states"][5], doc["states"][9]
+    for key in ("ket_a", "ket_b"):
+        first[key], second[key] = second[key], first[key]
+    bad = tmp_path / "swapped.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["validate", "--set-file", str(bad)]) == 1
+    assert "verdict = fail" in out.getvalue()
+    assert "state 5 does not match its tile" in out.getvalue()
+
+
 def test_validate_infinite_tile_amplitude_fails_without_warnings(tmp_path):
     doc = json.loads(stateset_to_text(build_3x3()))
     doc["tiles"][0]["amplitudes"][0][0] = [math.inf, 0.0]
@@ -228,6 +242,23 @@ def test_unwritable_output_exits_3(tmp_path):
     with contextlib.redirect_stderr(err):
         assert main(["validate", "--output", str(target)]) == 3
     assert "error:" in err.getvalue()
+
+
+def test_unwritable_transcript_error_names_the_given_path(tmp_path):
+    target = tmp_path / "no-such-dir" / "rounds.csv"
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        assert main(["simulate", "--rounds", "5", "--transcript", str(target)]) == 3
+    assert err.getvalue() == f"error: [Errno 2] No such file or directory: '{target}'\n"
+
+
+def test_sweep_refuses_negative_trials():
+    err, out = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(out):
+        assert main(["sweep", "--max-dim", "4", "--trials", "-1"]) == 1
+    assert out.getvalue() == ""
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "trials" in lines[0]
 
 
 def test_unknown_strategy_rejected_by_parser():

@@ -8,6 +8,8 @@ from conftest import random_parameters, random_tiling, relabelled_quarter_turn_b
 from opqkd import (
     DominoLayout,
     InvalidSetError,
+    Ket,
+    ProductState,
     SetParameters,
     StateSet,
     Tile,
@@ -25,6 +27,7 @@ from opqkd import (
     stateset_from_text,
     stateset_to_text,
 )
+from opqkd import stateset
 
 
 def assert_complete_orthogonal(state_set, ortho_tol=1e-10, complete_tol=1e-9):
@@ -149,11 +152,38 @@ def test_layout_validation():
         DominoLayout(3, relabeled)  # label 0 hosted twice, label 8 missing
 
 
-def test_stateset_rejects_layout_mismatch():
+def _with_states(s, first, *replaced):
+    return StateSet(s.states[:first] + replaced + s.states[first + len(replaced):], s.layout)
+
+
+def _with_singleton_label(s, label):
+    return states_from_tiles(3, s.layout.tiles[:-1] + (Tile("singleton", 1, ((1, 1),), np.eye(1), (label,)),))
+
+
+@pytest.mark.parametrize("build, error, match", [
+    pytest.param(lambda s: StateSet(build_3x3().states, s.layout),
+                 InvalidSetError, "state 0 does not match", id="other-layout"),
+    # a global phase e^{i theta} on one state is the same state
+    pytest.param(lambda s: _with_states(
+        s, 4, ProductState(4, Ket(s[4].ket_a.amps * np.exp(0.7j)), s[4].ket_b)),
+        None, None, id="global-phase"),
+    # states 4 and 5 share a row tile; with their B-parts swapped the set is
+    # still complete and orthonormal, but neither lies on its tile
+    pytest.param(lambda s: _with_states(s, 4, ProductState(4, s[4].ket_a, s[5].ket_b),
+                                        ProductState(5, s[5].ket_a, s[4].ket_b)),
+                 InvalidSetError, "state 4 does not match", id="swapped-b-parts"),
+    pytest.param(lambda s: _with_singleton_label(s, 9),
+                 ValueError, "labels must be exactly", id="skipped-label"),
+    pytest.param(lambda s: _with_singleton_label(s, -1),
+                 ValueError, "labels must be exactly", id="negative-label"),
+])
+def test_stateset_rejects_layout_mismatch(build, error, match):
     s3 = build_symmetric(3)
-    other = build_3x3()
-    with pytest.raises(InvalidSetError):
-        StateSet(other.states, s3.layout)
+    if error is None:
+        assert len(build(s3)) == 9
+    else:
+        with pytest.raises(error, match=match):
+            build(s3)
 
 
 def test_stateset_rejects_wrong_order():
@@ -161,6 +191,24 @@ def test_stateset_rejects_wrong_order():
     shuffled = s3.states[1:] + s3.states[:1]
     with pytest.raises(InvalidSetError):
         StateSet(shuffled, s3.layout)
+
+
+@pytest.mark.parametrize("n", [9, 25])
+def test_build_symmetric_checks_each_tile_once_and_no_ket(monkeypatch, n):
+    calls = {"tile": 0, "ket": 0, "states_from_tiles": 0}
+
+    def counted(key, fn):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(Tile, "__post_init__", counted("tile", Tile.__post_init__))
+    monkeypatch.setattr(Ket, "__init__", counted("ket", Ket.__init__))
+    monkeypatch.setattr(stateset, "states_from_tiles", counted("states_from_tiles", states_from_tiles))
+    built = build_symmetric(n)
+    # one states_from_tiles call is build_symmetric's own: StateSet makes none
+    assert calls == {"tile": len(built.layout.tiles), "ket": 0, "states_from_tiles": 1}
 
 
 def test_states_from_tiles_ordering():
