@@ -185,7 +185,7 @@ class ConditionalInterceptResend(EveStrategy):
         self._comp = MeasurementBasis.computational(n)
         amps_a, amps_b = state_set.amps_a, state_set.amps_b
         self._b_bases = tuple(_conditional_basis(amps_a, amps_b, m) for m in range(n))
-        # inferred[m, v] maximises |<m|A_i>|^2 |<v|B_i>|^2 over i, v in the basis matched to m
+        # inferred[m, v]: the i maximising |<m|A_i>|^2 |<v|B_i>|^2, v in the basis matched to m
         weight_a = np.abs(amps_a.T) ** 2
         self._inferred = np.stack([
             np.argmax(weight_a[m] * np.abs(b.matrix.conj() @ amps_b.T) ** 2, axis=1)

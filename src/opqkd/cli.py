@@ -131,8 +131,10 @@ def _round_blocks(size: int, columns: Sequence[np.ndarray], *lead: str) -> Itera
     table = [*map(str, range(size)), ""]
     for start in range(0, len(columns[0]), CHUNK_ROUNDS):
         ids = range(start, min(start + CHUNK_ROUNDS, len(columns[0])))
-        yield [list(map(str, ids)), *([text] * len(ids) for text in lead),
-               *([table[v] for v in column[ids.start:ids.stop].tolist()] for column in columns)]
+        # repr of an int is its str, formed without a call to the str type
+        yield [list(map(repr, ids)), *([text] * len(ids) for text in lead),
+               *(list(map(table.__getitem__, column[ids.start:ids.stop].tolist()))
+                 for column in columns)]
 
 
 def _csv_text(headers: list[str], blocks: Iterable[list[list[str]]]) -> Iterator[str]:

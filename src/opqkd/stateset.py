@@ -219,11 +219,9 @@ def _tile_amps(n: int, tiles: Sequence[Tile]) -> tuple[np.ndarray, np.ndarray]:
 
 def states_from_tiles(n: int, tiles: Sequence[Tile]) -> tuple[ProductState, ...]:
     """Realize every tile's hosted states as explicit product states, in
-    label order; the labels must be exactly 0..n^2-1.
-
-    Each `Tile` has checked its amplitude matrix unitary at ATOL_EXACT, so
-    every part is a unit vector already and is wrapped without checking it
-    again, as `tensor` wraps a product of checked kets."""
+    label order; the labels must be exactly 0..n^2-1. Each `Tile` has checked
+    its amplitudes unitary at ATOL_EXACT, so every part is a unit vector and
+    is wrapped without checking it again, as `tensor` wraps its product."""
     amps_a, amps_b = _tile_amps(n, tiles)
     return tuple(ProductState(i, _checked(a), _checked(b))
                  for i, (a, b) in enumerate(zip(amps_a, amps_b)))
