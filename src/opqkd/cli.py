@@ -128,13 +128,12 @@ def _round_blocks(size: int, columns: Sequence[np.ndarray], *lead: str) -> Itera
     ids, each `lead` text on every row, then int or bool columns whose
     entries lie in [0, size), or are -1 for an empty cell. Equal entries
     share one string."""
-    table = [*map(str, range(size)), ""]
+    table = np.array([*map(str, range(size)), ""], dtype=object)
     for start in range(0, len(columns[0]), CHUNK_ROUNDS):
         ids = range(start, min(start + CHUNK_ROUNDS, len(columns[0])))
         # repr of an int is its str, formed without a call to the str type
         yield [list(map(repr, ids)), *([text] * len(ids) for text in lead),
-               *(list(map(table.__getitem__, column[ids.start:ids.stop].tolist()))
-                 for column in columns)]
+               *(table.take(column[ids.start:ids.stop]).tolist() for column in columns)]
 
 
 def _csv_text(headers: list[str], blocks: Iterable[list[list[str]]]) -> Iterator[str]:
