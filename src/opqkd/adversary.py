@@ -26,7 +26,6 @@ from .qcore import (
     _runs,
     basis_ket,
     born_probabilities,
-    canonical_phase,
     projective_measure,
     tensor,
 )
@@ -65,31 +64,19 @@ class EveRound:
     stored_a: Ket | None = None
 
 
-def _complete_orthonormal(vectors: list[Ket], dim: int) -> list[Ket]:
-    """Extend an orthonormal list to a full basis, deterministically."""
-    out = list(vectors)
-    for k in range(dim):
-        if len(out) == dim:
-            break
-        residual = basis_ket(dim, k).amps.astype(np.complex128)
-        for v in out:
-            residual = residual - np.vdot(v.amps, residual) * v.amps
-        norm = float(np.linalg.norm(residual))
-        if norm > 1e-6:
-            out.append(canonical_phase(Ket(residual / norm)))
-    if len(out) != dim:
-        raise InvalidSetError("could not complete the conditional basis")
-    return out
-
-
 def conditional_b_basis(state_set: StateSet, a_outcome: int) -> MeasurementBasis:
-    """Best-guess basis for particle B after seeing outcome `a_outcome` on A.
+    """Best-guess basis for particle B after seeing outcome `a_outcome` on A:
+    the distinct B-parts, up to phase and in canonical phase, of the states
+    whose A-part overlaps |a_outcome>. Parts neither equal nor orthogonal,
+    or other than n of them, raise InvalidSetError.
 
-    Collects the B-parts of every state whose A-part overlaps |a_outcome>,
-    deduplicates up to phase, and completes to a full basis if needed. The
-    collected parts must come out mutually orthogonal; a set for which they
-    do not cannot be attacked this way and is rejected.
-    """
+    A valid set always leaves n orthonormal parts. Each cell (m, c) of row
+    m lies in one tile: a row tile in row m hosts states with A-part |m>
+    whose B-parts are the rows of a unitary on its columns; a column tile
+    of L rows through (m, c) hosts states with B-part |c>, one of them with
+    |<m|A>| >= 1/sqrt(L); a single cell hosts |m> (x) |c>. Other tiles'
+    A-parts have no weight on |m>. StateSet's layout check makes the same
+    hold, within ATOL_STATE, for sets read from files."""
     n = state_set.n
     if not 0 <= a_outcome < n:
         raise ValueError(f"A outcome {a_outcome} out of range for dimension {n}")
@@ -115,9 +102,13 @@ def _conditional_basis(amps_a: np.ndarray, amps_b: np.ndarray, a_outcome: int) -
         raise InvalidSetError(
             f"B-parts overlapping A outcome {a_outcome} are not mutually orthogonal"
         )
-    first = ~np.tril(equivalent, -1).any(axis=1)
-    distinct = [_checked(row) for row in _canonical_rows(amps[first])]
-    return MeasurementBasis(_complete_orthonormal(distinct, amps_b.shape[1]))
+    distinct = amps[~np.tril(equivalent, -1).any(axis=1)]
+    if len(distinct) != amps_b.shape[1]:
+        raise InvalidSetError(
+            f"A outcome {a_outcome} leaves {len(distinct)} distinct B-parts, "
+            f"not {amps_b.shape[1]}"
+        )
+    return MeasurementBasis([_checked(row) for row in _canonical_rows(distinct)])
 
 
 class EveStrategy:
@@ -205,17 +196,17 @@ class ConditionalInterceptResend(EveStrategy):
 
     def _kernel(self, state_set: StateSet) -> Kernel:
         n, states = state_set.n, state_set.states
-        first = BornTable(lambda i: born_probabilities(states[i].ket_a, self._comp))
+        first = BornTable(lambda i: born_probabilities(states[i].ket_a, self._comp), n * n, n)
         second = BornTable(lambda key: born_probabilities(
-            states[key // n].ket_b, self._b_bases[key % n]))
+            states[key // n].ket_b, self._b_bases[key % n]), n**3, n)
 
         def step(alice, draws):
             a = first.sample(alice, draws.random())
             b = second.sample(alice * n + a, draws.random())
             return a, b, self._inferred[a, b], (a, a * n + b)
 
-        return step, (self._comp._canonical_matrix,
-                      np.concatenate([basis._canonical_matrix for basis in self._b_bases]))
+        return step, (_canonical_rows(self._comp.matrix),
+                      _canonical_rows(np.concatenate([b.matrix for b in self._b_bases])))
 
 
 class MeasureSecondOnly(EveStrategy):
@@ -237,13 +228,14 @@ class MeasureSecondOnly(EveStrategy):
 
     def _kernel(self, state_set: StateSet) -> Kernel:
         states = state_set.states
-        second = BornTable(lambda i: born_probabilities(states[i].ket_b, self._comp))
+        second = BornTable(lambda i: born_probabilities(states[i].ket_b, self._comp),
+                           len(states), state_set.n)
 
         def step(alice, draws):
             b = second.sample(alice, draws.random())
             return None, b, self._inferred[b], (alice, b)
 
-        return step, (state_set.amps_a, self._comp._canonical_matrix)
+        return step, (state_set.amps_a, _canonical_rows(self._comp.matrix))
 
 
 class SubstituteCollective(EveStrategy):

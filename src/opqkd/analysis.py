@@ -94,28 +94,28 @@ def _growth_step(prev: float, size: int, vertical_fourth_moments: float) -> floa
     return ((size - 2) ** 2 * prev + 2 * (size - 1) + vertical_fourth_moments) / (size * size)
 
 
-def min_p_odd(m: int, verify_with_oracle: bool = False) -> float:
+def min_p_odd(m: int) -> float:
     """Minimum intercept-resend survival probability at odd dimension 2m+1:
     1/2 + (1 + 4m) / (2 (2m+1)^2), cross-checked against the recurrence."""
     if m < 1:
         raise ValueError("odd chain starts at m = 1 (dimension 3)")
     size = 2 * m + 1
     closed = 0.5 + (1 + 4 * m) / (2.0 * size * size)
-    return _checked(closed, size, verify_with_oracle)
+    return _checked(closed, size)
 
 
-def min_p_even(m: int, verify_with_oracle: bool = False) -> float:
+def min_p_even(m: int) -> float:
     """Minimum intercept-resend survival probability at even dimension 2m:
     1/2 + 1/(2m), cross-checked against the recurrence."""
     if m < 2:
         raise ValueError("even chain starts at m = 2 (dimension 4)")
     closed = 0.5 + 1.0 / (2.0 * m)
-    return _checked(closed, 2 * m, verify_with_oracle)
+    return _checked(closed, 2 * m)
 
 
-def _checked(closed: float, n: int, verify_with_oracle: bool) -> float:
+def _checked(closed: float, n: int) -> float:
     # The closed form at dimension n, once it agrees with the recurrence from
-    # 7/9 at n = 3 or 3/4 at n = 4 and, if asked, with exact enumeration.
+    # 7/9 at n = 3 or 3/4 at n = 4.
     recurred = 7.0 / 9.0 if n % 2 else 3.0 / 4.0
     for size in range(6 - n % 2, n + 1, 2):
         recurred = _growth_step(recurred, size, 2.0)
@@ -123,10 +123,6 @@ def _checked(closed: float, n: int, verify_with_oracle: bool) -> float:
         raise AssertionError(
             f"closed form {closed!r} and recurrence {recurred!r} disagree at n={n}"
         )
-    if verify_with_oracle:
-        got = exact_undetected_prob(build_symmetric(n), "intercept").value
-        if abs(got - closed) > RECURRENCE_ATOL:
-            raise AssertionError(f"oracle value {got!r} != closed form {closed!r} at n={n}")
     return closed
 
 

@@ -165,8 +165,8 @@ def round_columns(
     chunk cannot be sure of runs through the same kernel and tables again,
     alone, on its own RngStream; any other strategy plays every round
     through `run_round`, in order."""
-    chunks = [range(start, min(start + CHUNK_ROUNDS, rounds))
-              for start in range(0, rounds, CHUNK_ROUNDS)]
+    chunks = (range(start, min(start + CHUNK_ROUNDS, rounds))
+              for start in range(0, rounds, CHUNK_ROUNDS))
     if "_kernel" not in vars(type(strategy)):
         joint_basis = bob_basis(state_set)
         for ids in chunks:

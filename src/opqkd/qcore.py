@@ -132,9 +132,10 @@ def states_orthogonal(x: Ket, y: Ket, tol: float = ATOL_STATE) -> bool:
 
 
 class MeasurementBasis:
-    """Complete orthonormal basis defining a projective measurement."""
+    """Complete orthonormal basis defining a projective measurement: its
+    vectors, checked once, and their matrix (one per row) and conjugate."""
 
-    __slots__ = ("vectors", "matrix", "_conj_matrix", "_canonical_matrix", "_canonical")
+    __slots__ = ("vectors", "matrix", "_conj_matrix")
 
     def __init__(self, vectors: Sequence[Ket]):
         vecs = tuple(vectors)
@@ -151,13 +152,9 @@ class MeasurementBasis:
         mat.setflags(write=False)
         conj = mat.conj()
         conj.setflags(write=False)
-        canonical = _canonical_rows(mat)
         object.__setattr__(self, "vectors", vecs)
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "_conj_matrix", conj)
-        object.__setattr__(self, "_canonical", tuple(_checked(row) for row in canonical))
-        canonical.setflags(write=False)
-        object.__setattr__(self, "_canonical_matrix", canonical)
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError("MeasurementBasis is immutable")
@@ -248,7 +245,7 @@ def projective_measure(state: Ket, basis: MeasurementBasis, rng: RngStream) -> t
     The collapsed state is the basis vector itself in canonical phase."""
     cumulative, total = _cumulative(born_probabilities(state, basis))
     index = int(_outcome(cumulative, rng.random() * total))
-    return index, basis._canonical[index]
+    return index, _checked(_canonical_rows(basis.matrix[index:index + 1])[0])
 
 
 def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -277,31 +274,30 @@ class BornTable:
     """Projective measurements of a finite family of states, sampled a
     column at a time.
 
-    `probabilities(key)` gives the outcome distribution of the state named
-    by an integer key. It is called on the key's first use only; its
-    cumsum and total are kept, and each lane then takes the outcome
-    `projective_measure` would take from the same numbers and the same
-    uniform draw."""
+    `probabilities(key)` gives the distribution over `outcomes` outcomes of
+    the state named by an integer key in [0, keys). It is called on the
+    key's first use only; the row `key` of a (keys, outcomes) array keeps
+    its cumsum, and a totals array its sum. Each lane then takes its
+    outcome by `_search`, as Bob's `ProductBornTable` does, which is the
+    outcome `projective_measure` would take from the same numbers and the
+    same uniform draw."""
 
-    __slots__ = ("_probabilities", "rows")
+    __slots__ = ("_probabilities", "_cumsums", "_totals", "_known")
 
-    def __init__(self, probabilities: Callable[[int], np.ndarray]):
+    def __init__(self, probabilities: Callable[[int], np.ndarray], keys: int, outcomes: int):
         self._probabilities = probabilities
-        self.rows: dict[int, tuple[np.ndarray, float]] = {}
+        self._cumsums = np.empty((keys, outcomes))
+        self._totals = np.empty(keys)
+        self._known = np.zeros(keys, dtype=bool)
 
     def sample(self, keys: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Outcome of measuring state keys[j] with uniform draw u[j], per lane."""
-        outcomes = np.empty(len(keys), dtype=np.int64)
-        order = np.argsort(keys, kind="stable")
-        starts = np.flatnonzero(np.diff(keys[order])) + 1
-        for lanes in np.split(order, starts):
-            key = int(keys[lanes[0]])
-            row = self.rows.get(key)
-            if row is None:
-                row = self.rows[key] = _cumulative(self._probabilities(key))
-            cumulative, total = row
-            outcomes[lanes] = _outcome(cumulative, u[lanes] * total)
-        return outcomes
+        wanted = np.zeros(len(self._known), dtype=bool)
+        wanted[keys] = True
+        for key in np.flatnonzero(wanted & ~self._known).tolist():
+            self._cumsums[key], self._totals[key] = _cumulative(self._probabilities(key))
+            self._known[key] = True
+        return _search(self._cumsums, keys, u * self._totals[keys])
 
 
 _U = 2.0**-53
@@ -371,7 +367,8 @@ def guard_band(n: int) -> float:
 def _search(cumulative: np.ndarray, rows: np.ndarray, target: np.ndarray) -> np.ndarray:
     """`_outcome(cumulative[rows[j]], target[j])` for every lane j, by one
     binary search over all lanes at once: the number of entries up to
-    the target among the first m - 1 of its row."""
+    the target among the first m - 1 of its row. A cumsum never decreases,
+    so that is `_outcome`'s clamped count, also on a target equal to an entry."""
     m = cumulative.shape[1]
     flat, start = cumulative.reshape(-1), rows * m
     pos, size = start, m - 1

@@ -103,7 +103,9 @@ def test_conditional_basis_rejects_oblique_b_parts():
         conditional_b_basis(FakeSet(), 0)
 
 
-def test_conditional_basis_without_overlapping_states_is_computational():
+def test_conditional_basis_with_fewer_than_n_parts_is_rejected():
+    # no valid set leaves fewer than n distinct B-parts for an outcome, so
+    # such a collection is refused rather than completed to a basis
     class FakeSet:
         n = 3
 
@@ -111,7 +113,13 @@ def test_conditional_basis_without_overlapping_states_is_computational():
             yield SimpleNamespace(ket_a=basis_ket(3, 0), ket_b=normalize([1, 1, 0]))
             yield SimpleNamespace(ket_a=basis_ket(3, 1), ket_b=normalize([1, -1, 0]))
 
-    assert np.array_equal(conditional_b_basis(FakeSet(), 2).matrix, np.eye(3))
+    for outcome, parts in ((2, 0), (0, 1)):
+        with pytest.raises(InvalidSetError, match=f"leaves {parts} distinct"):
+            conditional_b_basis(FakeSet(), outcome)
+
+
+def _random_3x3(seed):
+    return build_3x3(random_parameters(np.random.default_rng(seed)))
 
 
 _phase = hst.floats(0.0, 2.0 * math.pi)
@@ -167,6 +175,27 @@ def test_overlap_decisions_match_pairwise_definition(pairs):
             continue
         vectors = conditional_b_basis(s, m).vectors
         assert all(states_equivalent(u, v) for u, v in zip(distinct, vectors))
+
+
+@settings(max_examples=60, deadline=None)
+@given(hst.data())
+def test_conditional_basis_has_exactly_n_distinct_parts(data):
+    kind = data.draw(hst.sampled_from(("random", "degenerate", "family")))
+    if kind == "random":
+        s = _random_3x3(data.draw(hst.integers(0, 2**32 - 1)))
+    elif kind == "degenerate":
+        pairs = data.draw(hst.lists(_unit_pair(), min_size=4, max_size=4))
+        s = build_3x3(SetParameters(*(z for pair in pairs for z in pair)))
+    else:
+        s = build_symmetric(data.draw(hst.integers(3, 15)))
+    for m in range(s.n):
+        distinct = _pairwise_distinct_b_parts(s, m)
+        if distinct is None:
+            with pytest.raises(InvalidSetError):
+                conditional_b_basis(s, m)
+            continue
+        assert len(distinct) == s.n
+        assert len(conditional_b_basis(s, m)) == s.n
 
 
 def test_strategy_enforces_leg_order():
@@ -386,25 +415,90 @@ def _scalar_distinct_parts(state_set, m):
     return [canonical_phase(p) for p, keep in zip(parts, first) if keep]
 
 
+def _collapse(ket, basis, u=0.5):
+    # projective_measure with u as its uniform draw
+    return projective_measure(ket, basis, SimpleNamespace(random=lambda: float(u)))
+
+
 def test_conditional_basis_kets_equal_scalar_canonical_phase():
+    # each basis vector, its collapse and the row a kernel forwards for it
+    # have the bytes of the scalar canonical_phase
     sets = [build_symmetric(n) for n in range(3, 26)]
-    sets += [build_3x3(random_parameters(np.random.default_rng(seed))) for seed in range(20)]
+    sets += [_random_3x3(seed) for seed in range(20)]
     for s in sets:
-        for m in range(s.n):
-            try:
-                basis = conditional_b_basis(s, m)
-            except InvalidSetError:
-                continue
-            parts = _scalar_distinct_parts(s, m)
-            for v, p in zip(basis.vectors, parts):
+        n = s.n
+        _, (_, comp_rows) = MeasureSecondOnly(s)._kernel(s)
+        comp = MeasureSecondOnly(s)._comp
+        for k, v in enumerate(comp.vectors):
+            assert _collapse(v, comp)[1].amps.tobytes() == comp_rows[k].tobytes()
+        try:
+            eve = ConditionalInterceptResend(s)
+        except InvalidSetError:
+            continue
+        _, (a_rows, b_rows) = eve._kernel(s)
+        assert a_rows.tobytes() == comp_rows.tobytes()
+        for m in range(n):
+            basis = conditional_b_basis(s, m)
+            for v, p in zip(basis.vectors, _scalar_distinct_parts(s, m), strict=True):
                 assert v.amps.tobytes() == p.amps.tobytes()
-            for v, c in zip(basis.vectors, basis._canonical):
-                assert c.amps.tobytes() == canonical_phase(v).amps.tobytes()
+            for k, v in enumerate(basis.vectors):
+                index, collapsed = _collapse(v, basis)
+                assert index == k
+                assert collapsed.amps.tobytes() == canonical_phase(v).amps.tobytes()
+                assert collapsed.amps.tobytes() == b_rows[m * n + k].tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(hst.data())
+def test_attacker_born_tables_equal_projective_measure_property(data):
+    # the intercept's two tables and the complementary table, driven through
+    # their kernels, take projective_measure's outcome lane by lane, also for
+    # draws whose target lies exactly on a cumsum entry
+    if data.draw(hst.booleans()):
+        s = _random_3x3(data.draw(hst.integers(0, 2**32 - 1)))
+    else:
+        s = build_symmetric(data.draw(hst.integers(3, 7)))
+    name = data.draw(hst.sampled_from(("intercept", "complementary")))
+    try:
+        eve = make_strategy(name, s)
+    except InvalidSetError:
+        return
+    step, _ = eve._kernel(s)
+    lanes = data.draw(hst.lists(hst.tuples(
+        hst.integers(0, len(s) - 1), *[hst.floats(0.0, 1.0, exclude_max=True)] * 2,
+        *[hst.booleans()] * 2), min_size=1, max_size=30))
+
+    def draw_for(probs, draw, boundary):
+        # the draw itself, or one whose target is the cumsum entry it picks
+        cumulative = probs.cumsum()
+        if not boundary:
+            return draw
+        u = _on_boundary(probs.sum(), cumulative[int(draw * len(cumulative))])
+        return min(u, np.nextafter(1.0, 0.0))
+
+    expected, draws = [], ([], [])
+    for label, draw_a, draw_b, boundary_a, boundary_b in lanes:
+        ket_a, ket_b = s[label].ket_a, s[label].ket_b
+        if name == "intercept":
+            u = draw_for(born_probabilities(ket_a, eve._comp), draw_a, boundary_a)
+            a = _collapse(ket_a, eve._comp, u)[0]
+            draws[0].append(u)
+            basis = eve._b_bases[a]
+        else:
+            a, basis = -1, eve._comp
+        u = draw_for(born_probabilities(ket_b, basis), draw_b, boundary_b)
+        draws[1].append(u)
+        expected.append((a, _collapse(ket_b, basis, u)[0]))
+    columns = iter(np.array(d) for d in draws if d)
+    a, b, _, _ = step(np.array([lane[0] for lane in lanes]),
+                      SimpleNamespace(random=lambda: next(columns)))
+    a = np.full(len(lanes), -1) if a is None else a
+    assert list(zip(a.tolist(), b.tolist())) == expected
 
 
 def test_inferred_table_is_the_argmax_of_the_whole_posterior():
     sets = [build_symmetric(n) for n in range(3, 10)]
-    sets += [build_3x3(random_parameters(np.random.default_rng(seed))) for seed in range(20)]
+    sets += [_random_3x3(seed) for seed in range(20)]
     built = 0
     for s in sets:
         try:

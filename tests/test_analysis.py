@@ -23,6 +23,7 @@ from opqkd import (
     states_from_tiles,
 )
 from opqkd.adversary import STRATEGIES
+from opqkd.analysis import RECURRENCE_ATOL
 
 # Anchor values for the balanced recursive sets, derived by hand from the
 # tile structure before the library existed; see also the enumeration oracle.
@@ -155,8 +156,11 @@ def test_min_p_even_values():
 
 
 def test_min_p_oracle_verification_path():
-    assert abs(min_p_odd(2, verify_with_oracle=True) - 17 / 25) < 1e-15
-    assert abs(min_p_even(2, verify_with_oracle=True) - 3 / 4) < 1e-15
+    # exact enumeration on the family agrees with both closed forms
+    for m, n in ((2, 5), (2, 4)):
+        closed = min_p_odd(m) if n % 2 else min_p_even(m)
+        exact = exact_undetected_prob(build_symmetric(n), "intercept").value
+        assert abs(exact - closed) <= RECURRENCE_ATOL
 
 
 def test_min_p_dispatch():

@@ -261,6 +261,22 @@ def test_sweep_refuses_negative_trials():
     assert len(lines) == 1 and lines[0].startswith("error:") and "trials" in lines[0]
 
 
+def test_sweep_refuses_trials_beyond_the_rounds_ceiling(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("nothing should be built for a refused sweep")
+
+    monkeypatch.setattr(cli, "build_symmetric", refuse)
+    monkeypatch.setattr(cli, "dimension_sweep", refuse)
+    err, out = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(out):
+        assert main(["sweep", "--max-dim", "4", "--trials", str(cli._MAX_ROUNDS + 1)]) == 2
+        assert main(["sweep", "--max-dim", "4", "--trials", str(10**12)]) == 2
+    assert out.getvalue() == ""
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 2 and all(line.startswith("error: --trials ") for line in lines)
+    assert cli._MAX_ROUNDS == 13_421_772
+
+
 def test_unknown_strategy_rejected_by_parser():
     err = io.StringIO()
     with contextlib.redirect_stderr(err):

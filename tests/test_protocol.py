@@ -1,5 +1,8 @@
+import contextlib
 import dataclasses
+import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,12 +19,13 @@ from opqkd import (
     build_symmetric,
     detection_probability,
     make_strategy,
+    monte_carlo_estimate,
     run_round,
     run_session,
     summarize_session,
     wilson_interval,
 )
-from opqkd import adversary, protocol
+from opqkd import adversary, analysis, cli, protocol, qcore, stateset
 from opqkd.adversary import STRATEGY_NAMES
 from opqkd.protocol import round_columns
 
@@ -288,3 +292,64 @@ def test_session_columns_and_records_agree():
     assert rebuilt.records == result.records
     assert rebuilt.eve_records == result.eve_records
     assert summarize_session(rebuilt) == summarize_session(result)
+
+
+def test_first_chunk_of_a_long_session_holds_one_chunk():
+    # the chunks' ranges are formed as the rounds reach them: the first of
+    # 10^9 rounds costs what the first of a short session costs
+    s = build_symmetric(3)
+    strategy = make_strategy("intercept", s)
+    tracemalloc.start()
+    columns = next(round_columns(s, strategy, 1, 10**9))
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert columns.shape == (5, protocol.CHUNK_ROUNDS)
+    assert peak < 4 * 2**20
+
+
+def _pass_counts(monkeypatch, run):
+    # calls per pass at the sites where the benchmark's tracer counts them:
+    # MeasurementBasis.__init__, RngStream.__init__ and qcore.tensor under
+    # every module name bound to it
+    counts = {"basis": 0, "rng": 0, "tensor": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    with monkeypatch.context() as patch:
+        patch.setattr(qcore.MeasurementBasis, "__init__",
+                      counted("basis", qcore.MeasurementBasis.__init__))
+        patch.setattr(qcore.RngStream, "__init__", counted("rng", qcore.RngStream.__init__))
+        tensor = counted("tensor", qcore.tensor)
+        for module in (qcore, stateset, adversary, protocol, analysis, cli):
+            if getattr(module, "tensor", None) is qcore.tensor:
+                patch.setattr(module, "tensor", tensor)
+        passes = []
+        for _ in range(2):
+            run()
+            passes.append(dict(counts))
+            counts.update(dict.fromkeys(counts, 0))
+    return passes
+
+
+@pytest.mark.parametrize("n", [3, 9])
+@pytest.mark.parametrize("name", adversary.ATTACK_NAMES)
+def test_repeated_estimates_count_the_same_work(monkeypatch, n, name):
+    # nothing a pass builds is kept for the next one on the set, the
+    # strategy or a module
+    s = build_symmetric(n)
+    first, second = _pass_counts(monkeypatch, lambda: monte_carlo_estimate(s, name, 3000, 4))
+    assert first == second
+    assert first["basis"] == {"intercept": n + 1, "complementary": 1, "substitute": 0}[name]
+
+
+def test_repeated_simulate_runs_count_the_same_work(monkeypatch, tmp_path):
+    argv = ["simulate", "--strategy", "intercept", "--rounds", "2000", "--seed", "6",
+            "--output", str(tmp_path / "report.txt")]
+    with contextlib.redirect_stdout(io.StringIO()):
+        first, second = _pass_counts(monkeypatch, lambda: cli.main(argv))
+    assert first == second
+    assert first["basis"] == 4 and first["rng"] >= 1
