@@ -427,8 +427,9 @@ def test_conditional_basis_kets_equal_scalar_canonical_phase():
     sets += [_random_3x3(seed) for seed in range(20)]
     for s in sets:
         n = s.n
-        _, (_, comp_rows) = MeasureSecondOnly(s)._kernel(s)
-        comp = MeasureSecondOnly(s)._comp
+        second_only = MeasureSecondOnly(s)
+        _, (_, comp_rows) = second_only._kernel(s)
+        comp = second_only._comp
         for k, v in enumerate(comp.vectors):
             assert _collapse(v, comp)[1].amps.tobytes() == comp_rows[k].tobytes()
         try:
