@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -80,22 +80,28 @@ def conditional_b_basis(state_set: StateSet, a_outcome: int) -> MeasurementBasis
     n = state_set.n
     if not 0 <= a_outcome < n:
         raise ValueError(f"A outcome {a_outcome} out of range for dimension {n}")
-    states = list(state_set)
-    return _conditional_basis(np.stack([st.ket_a.amps for st in states]),
-                              np.stack([st.ket_b.amps for st in states]), a_outcome)
+    return _conditional_bases(state_set, (a_outcome,))[0]
 
 
-def _conditional_basis(amps_a: np.ndarray, amps_b: np.ndarray, a_outcome: int) -> MeasurementBasis:
-    # conditional_b_basis from the stacked A- and B-parts of the states;
-    # np.hypot is the scalar abs of each amplitude. A part equal byte for
-    # byte to an earlier one is dropped first: it is never the first of
-    # its class, and it overlaps the others as that earlier one does.
-    column = amps_a[:, a_outcome]
-    amps = amps_b[np.hypot(column.real, column.imag) > ATOL_STATE]
-    order, first = _runs(amps.view(np.dtype((np.void, amps.itemsize * amps.shape[1]))).ravel())
-    keep = np.zeros(len(amps), dtype=bool)
-    keep[order[first]] = True
-    amps = amps[keep]
+def _conditional_bases(state_set: StateSet, outcomes: Iterable[int]) -> tuple[MeasurementBasis, ...]:
+    # conditional_b_basis for each outcome; np.hypot is the scalar abs. Of the
+    # B-parts overlapping an outcome, one equal byte for byte to an earlier
+    # one is dropped first: it overlaps the others as that one does. A stable
+    # sort of the parts' bytes runs each class in label order, so the first
+    # overlapping part of a class is where its running count reaches 1.
+    amps_a, amps_b = state_set.amps_a, state_set.amps_b
+    order, first = _runs(amps_b.view(np.dtype((np.void, amps_b.itemsize * amps_b.shape[1]))).ravel())
+    overlapping = np.hypot(amps_a.real, amps_a.imag)[order] > ATOL_STATE
+    count = np.cumsum(overlapping, axis=0)
+    kept = np.empty_like(overlapping)
+    kept[order] = overlapping & (count - (count - overlapping)[first][np.cumsum(first) - 1] == 1)
+    return tuple(_conditional_basis(amps_b[kept[:, m]], m) for m in outcomes)
+
+
+def _conditional_basis(amps: np.ndarray, a_outcome: int) -> MeasurementBasis:
+    # The basis of the distinct parts among amps, one per class of parts equal
+    # up to phase, or InvalidSetError.
+    n = amps.shape[1]
     overlaps = np.abs(amps.conj() @ amps.T)
     equivalent = np.abs(overlaps - 1.0) <= ATOL_STATE
     if np.any(~equivalent & (overlaps > ATOL_STATE)):
@@ -103,10 +109,9 @@ def _conditional_basis(amps_a: np.ndarray, amps_b: np.ndarray, a_outcome: int) -
             f"B-parts overlapping A outcome {a_outcome} are not mutually orthogonal"
         )
     distinct = amps[~np.tril(equivalent, -1).any(axis=1)]
-    if len(distinct) != amps_b.shape[1]:
+    if len(distinct) != n:
         raise InvalidSetError(
-            f"A outcome {a_outcome} leaves {len(distinct)} distinct B-parts, "
-            f"not {amps_b.shape[1]}"
+            f"A outcome {a_outcome} leaves {len(distinct)} distinct B-parts, not {n}"
         )
     return MeasurementBasis([_checked(row) for row in _canonical_rows(distinct)])
 
@@ -175,7 +180,7 @@ class ConditionalInterceptResend(EveStrategy):
         n = state_set.n
         self._comp = MeasurementBasis.computational(n)
         amps_a, amps_b = state_set.amps_a, state_set.amps_b
-        self._b_bases = tuple(_conditional_basis(amps_a, amps_b, m) for m in range(n))
+        self._b_bases = _conditional_bases(state_set, range(n))
         # inferred[m, v]: the i maximising |<m|A_i>|^2 |<v|B_i>|^2, v in the basis matched to m
         weight_a = np.abs(amps_a.T) ** 2
         self._inferred = np.stack([

@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from . import adversary
-from .adversary import canonical_variant, conditional_b_basis, make_strategy
+from .adversary import canonical_variant, make_strategy
 from .errors import InsufficientDataError
 from .qcore import born_probabilities
 from .stateset import SetParameters, StateSet, build_symmetric
@@ -50,7 +50,7 @@ class EstimateResult:
 
 
 def _intercept_contributions(state_set: StateSet) -> list[float]:
-    bases = [conditional_b_basis(state_set, m) for m in range(state_set.n)]
+    bases = adversary._conditional_bases(state_set, range(state_set.n))
     contributions = []
     for st in state_set:
         weights = [abs(z) ** 2 for z in st.ket_a.amps]

@@ -149,12 +149,21 @@ class MeasurementBasis:
         mat = np.stack([v.amps for v in vecs])
         if not near_identity(mat.conj() @ mat.T):
             raise ValueError("basis vectors are not orthonormal")
+        self._hold(vecs, mat)
+
+    def _hold(self, vecs: tuple[Ket, ...], mat: np.ndarray) -> None:
         mat.setflags(write=False)
-        conj = mat.conj()
-        conj.setflags(write=False)
         object.__setattr__(self, "vectors", vecs)
         object.__setattr__(self, "matrix", mat)
-        object.__setattr__(self, "_conj_matrix", conj)
+        object.__setattr__(self, "_conj_matrix", mat.conj())
+        self._conj_matrix.setflags(write=False)
+
+    @classmethod
+    def _checked(cls, mat: np.ndarray) -> "MeasurementBasis":
+        # The rows of a matrix known to be orthonormal, wrapped as they are.
+        basis = object.__new__(cls)
+        basis._hold(tuple(_checked(row) for row in mat), mat)
+        return basis
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError("MeasurementBasis is immutable")
@@ -276,28 +285,38 @@ class BornTable:
 
     `probabilities(key)` gives the distribution over `outcomes` outcomes of
     the state named by an integer key in [0, keys). It is called on the
-    key's first use only; the row `key` of a (keys, outcomes) array keeps
-    its cumsum, and a totals array its sum. Each lane then takes its
-    outcome by `_search`, as Bob's `ProductBornTable` does, which is the
-    outcome `projective_measure` would take from the same numbers and the
-    same uniform draw."""
+    key's first use only; its cumsum and sum become the next row of a
+    dense table, which grows as keys are first used, and a key-to-row
+    index names that row. Each lane then takes its outcome by `_search`,
+    as Bob's `ProductBornTable` does, which is the outcome
+    `projective_measure` would take from the same numbers and the same
+    uniform draw."""
 
-    __slots__ = ("_probabilities", "_cumsums", "_totals", "_known")
+    __slots__ = ("_probabilities", "_row", "_cumsums", "_totals", "_used")
 
     def __init__(self, probabilities: Callable[[int], np.ndarray], keys: int, outcomes: int):
         self._probabilities = probabilities
-        self._cumsums = np.empty((keys, outcomes))
-        self._totals = np.empty(keys)
-        self._known = np.zeros(keys, dtype=bool)
+        self._row = np.full(keys, -1)
+        self._cumsums = np.empty((0, outcomes))
+        self._totals = np.empty(0)
+        self._used = 0
 
     def sample(self, keys: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Outcome of measuring state keys[j] with uniform draw u[j], per lane."""
-        wanted = np.zeros(len(self._known), dtype=bool)
+        wanted = np.zeros(len(self._row), dtype=bool)
         wanted[keys] = True
-        for key in np.flatnonzero(wanted & ~self._known).tolist():
-            self._cumsums[key], self._totals[key] = _cumulative(self._probabilities(key))
-            self._known[key] = True
-        return _search(self._cumsums, keys, u * self._totals[keys])
+        new = np.flatnonzero(wanted & (self._row < 0))
+        first, self._used = self._used, self._used + len(new)
+        if self._used > len(self._totals):  # grow by doubling, up to one row per key
+            size = min(max(self._used, 2 * len(self._totals)), len(self._row))
+            cumsums, totals = np.empty((size, self._cumsums.shape[1])), np.empty(size)
+            cumsums[:first], totals[:first] = self._cumsums[:first], self._totals[:first]
+            self._cumsums, self._totals = cumsums, totals
+        self._row[new] = np.arange(first, self._used)
+        for row, key in enumerate(new.tolist(), first):
+            self._cumsums[row], self._totals[row] = _cumulative(self._probabilities(key))
+        rows = self._row[keys]
+        return _search(self._cumsums, rows, u * self._totals[rows])
 
 
 _U = 2.0**-53

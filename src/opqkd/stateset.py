@@ -25,7 +25,6 @@ from .qcore import (
     born_rows,
     joint_amps,
     near_identity,
-    states_equivalent,
     tensor,
 )
 
@@ -256,7 +255,7 @@ class StateSet:
             gram *= amps_b[first:first + step].conj() @ amps_b.T
             if not near_identity(gram, first):
                 raise InvalidSetError("joint states must form a complete orthonormal set")
-        self._check_layout_consistency(states, layout)
+        self._check_layout_consistency(amps_a, amps_b, layout)
         amps_a.setflags(write=False)
         amps_b.setflags(write=False)
         object.__setattr__(self, "states", states)
@@ -269,12 +268,13 @@ class StateSet:
         raise AttributeError("StateSet is immutable")
 
     @staticmethod
-    def _check_layout_consistency(states: Sequence[ProductState], layout: DominoLayout) -> None:
-        # Each hosted state must live on its tile's cells (up to global phase).
-        for st, a, b in zip(states, *_tile_amps(layout.n, layout.tiles)):
-            if not (states_equivalent(st.ket_a, _checked(a), ATOL_STATE)
-                    and states_equivalent(st.ket_b, _checked(b), ATOL_STATE)):
-                raise InvalidSetError(f"state {st.index} does not match its tile")
+    def _check_layout_consistency(amps_a: np.ndarray, amps_b: np.ndarray, layout: DominoLayout) -> None:
+        # Each state's parts must be its tile's up to global phase, row by row.
+        ok = [np.abs(np.abs(np.einsum("ij,ij->i", amps.conj(), tile)) - 1.0) <= ATOL_STATE
+              for amps, tile in zip((amps_a, amps_b), _tile_amps(layout.n, layout.tiles))]
+        wrong = np.flatnonzero(~(ok[0] & ok[1]))
+        if len(wrong):
+            raise InvalidSetError(f"state {wrong[0]} does not match its tile")
 
     @property
     def joint_matrix(self) -> np.ndarray:
@@ -404,13 +404,13 @@ class ConditionReport:
 
 
 def _oblique_partners(amps: np.ndarray) -> tuple[bool, ...]:
-    # Row i of the |Gram| matrix of the kets amps[i], one row at a time so
-    # that the whole n^2 x n^2 matrix never exists; the diagonal entry is 1,
-    # never oblique.
-    out = []
-    for row in amps.conj():
-        overlaps = np.abs(amps @ row)
-        out.append(bool(np.any((overlaps > ATOL_STATE) & (np.abs(overlaps - 1.0) > ATOL_STATE))))
+    # |Gram| rows of the kets amps[i], _GRAM_BLOCK / 4 entries at a time, so
+    # the n^2 x n^2 matrix never exists; a diagonal entry is 1, never oblique.
+    out: list[bool] = []
+    step = max(1, _GRAM_BLOCK // 4 // len(amps))
+    for first in range(0, len(amps), step):
+        overlaps = np.abs(amps[first:first + step].conj() @ amps.T)
+        out += np.any((overlaps > ATOL_STATE) & (np.abs(overlaps - 1.0) > ATOL_STATE), axis=1).tolist()
     return tuple(out)
 
 
@@ -578,8 +578,9 @@ def is_four_fold_symmetric(layout: DominoLayout) -> bool:
 
 
 def bob_basis(state_set: StateSet) -> MeasurementBasis:
-    """The joint measurement that identifies every state in the set."""
-    return MeasurementBasis([_checked(row) for row in state_set.joint_matrix])
+    """The joint measurement that identifies every state in the set: the
+    joint matrix, whose Gram matrix StateSet checked, wrapped as it is."""
+    return MeasurementBasis._checked(state_set.joint_matrix)
 
 
 def bob_table(state_set: StateSet, kets_a: np.ndarray, kets_b: np.ndarray) -> ProductBornTable:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as hst
 
-from conftest import random_parameters
+from conftest import random_parameters, random_tiling
 from opqkd import (
     ConditionalInterceptResend,
     EveStrategy,
@@ -15,6 +15,7 @@ from opqkd import (
     ProtocolOrderError,
     RngStream,
     SetParameters,
+    StateSet,
     SubstituteCollective,
     basis_ket,
     bob_basis,
@@ -26,14 +27,17 @@ from opqkd import (
     normalize,
     run_round,
     states_equivalent,
+    states_from_tiles,
     states_orthogonal,
 )
-from opqkd.adversary import STRATEGY_NAMES, canonical_variant
+from opqkd.adversary import STRATEGY_NAMES, _conditional_basis, _conditional_bases, canonical_variant
 from opqkd.protocol import round_columns
 from opqkd.qcore import (
     ATOL_STATE,
+    BornTable,
     Ket,
     StreamBlocks,
+    _outcome,
     born_probabilities,
     canonical_phase,
     guard_band,
@@ -41,6 +45,7 @@ from opqkd.qcore import (
     projective_measure,
     tensor,
 )
+from opqkd import stateset
 from opqkd.stateset import bob_table
 
 
@@ -88,34 +93,26 @@ def test_conditional_basis_outcome_range():
 def test_conditional_basis_rejects_oblique_b_parts():
     # a malformed collection whose overlapping B-parts are neither equal
     # nor orthogonal cannot define a measurement
-    class FakeState:
-        def __init__(self, ket_a, ket_b):
-            self.ket_a, self.ket_b = ket_a, ket_b
-
-    class FakeSet:
-        n = 3
-
-        def __iter__(self):
-            yield FakeState(basis_ket(3, 0), basis_ket(3, 0))
-            yield FakeState(normalize([1, 1, 0]), normalize([1, 1, 0]))
-
+    fake = _stacked_parts([(basis_ket(3, 0), basis_ket(3, 0)),
+                           (normalize([1, 1, 0]), normalize([1, 1, 0]))])
     with pytest.raises(InvalidSetError):
-        conditional_b_basis(FakeSet(), 0)
+        conditional_b_basis(fake, 0)
+
+
+def _stacked_parts(pairs):
+    # a stand-in for a set of 3 x 3 states: only the stacked parts it holds
+    return SimpleNamespace(n=3, amps_a=np.stack([a.amps for a, _ in pairs]),
+                           amps_b=np.stack([b.amps for _, b in pairs]))
 
 
 def test_conditional_basis_with_fewer_than_n_parts_is_rejected():
     # no valid set leaves fewer than n distinct B-parts for an outcome, so
     # such a collection is refused rather than completed to a basis
-    class FakeSet:
-        n = 3
-
-        def __iter__(self):
-            yield SimpleNamespace(ket_a=basis_ket(3, 0), ket_b=normalize([1, 1, 0]))
-            yield SimpleNamespace(ket_a=basis_ket(3, 1), ket_b=normalize([1, -1, 0]))
-
+    fake = _stacked_parts([(basis_ket(3, 0), normalize([1, 1, 0])),
+                           (basis_ket(3, 1), normalize([1, -1, 0]))])
     for outcome, parts in ((2, 0), (0, 1)):
         with pytest.raises(InvalidSetError, match=f"leaves {parts} distinct"):
-            conditional_b_basis(FakeSet(), outcome)
+            conditional_b_basis(fake, outcome)
 
 
 def _random_3x3(seed):
@@ -526,3 +523,85 @@ def test_kernels_match_hooks_round_by_round():
             outcomes = [-1 if v is None else v
                         for v in (rec.a_outcome, rec.b_outcome, rec.inferred_state)]
             assert columns[:, round_id].tolist() == [alice, bob, *outcomes]
+
+
+def _first_overlapping_parts(s, m):
+    # the B-parts of the states overlapping |m>, in label order, without
+    # those equal byte for byte to an earlier one
+    seen, rows = set(), []
+    for a, b in zip(s.amps_a, s.amps_b):
+        if math.hypot(a[m].real, a[m].imag) > ATOL_STATE and b.tobytes() not in seen:
+            seen.add(b.tobytes())
+            rows.append(b)
+    return np.array(rows)
+
+
+@hst.composite
+def _drawn_set(draw):
+    # a random or degenerate 3 x 3 set, one of the family, or a set on a
+    # random tiling, whose column tiles repeat B-parts byte for byte
+    kind = draw(hst.sampled_from(("random", "degenerate", "family", "tiling")))
+    if kind == "random":
+        return _random_3x3(draw(hst.integers(0, 2**32 - 1)))
+    if kind == "degenerate":
+        pairs = draw(hst.lists(_unit_pair(), min_size=4, max_size=4))
+        return build_3x3(SetParameters(*(z for pair in pairs for z in pair)))
+    if kind == "family":
+        return build_symmetric(draw(hst.integers(3, 12)))
+    rng = np.random.default_rng(draw(hst.integers(0, 2**32 - 1)))
+    layout = random_tiling(rng, draw(hst.integers(3, 6)), "random")
+    return StateSet(states_from_tiles(layout.n, layout.tiles), layout)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_drawn_set(), hst.integers(2, 7))
+def test_check_conditions_matches_pairwise_oracle_in_blocks(s, rows):
+    # the |Gram| rows are formed a few at a time, with a ragged last block;
+    # every verdict is the pair-by-pair one
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stateset, "_GRAM_BLOCK", 4 * rows * len(s))
+        report = check_conditions(s)
+    assert report.ok_a == tuple(_pairwise_oblique([st.ket_a for st in s], i) for i in range(len(s)))
+    assert report.ok_b == tuple(_pairwise_oblique([st.ket_b for st in s], i) for i in range(len(s)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_drawn_set())
+def test_conditional_bases_from_one_dedupe_equal_each_outcomes_own(s):
+    # all n bases come from one sort of the B-parts; each holds the bytes the
+    # outcome's own overlapping parts give, or raises the same error
+    def outcome(build):
+        try:
+            bases = build()
+        except InvalidSetError as exc:
+            return str(exc)
+        return [(b.matrix.tobytes(), b._conj_matrix.tobytes()) for b in bases]
+
+    own = [outcome(lambda m=m: [_conditional_basis(_first_overlapping_parts(s, m), m)])
+           for m in range(s.n)]
+    assert [outcome(lambda m=m: [conditional_b_basis(s, m)]) for m in range(s.n)] == own
+    first_error = next((o for o in own if isinstance(o, str)), None)
+    expected = [b for o in own for b in o] if first_error is None else first_error
+    assert outcome(lambda: _conditional_bases(s, range(s.n))) == expected
+
+
+def test_born_table_keeps_rows_for_the_keys_it_used():
+    # rows are added on first use, each key's probabilities computed once,
+    # across calls that grow the table
+    n, calls = 9, []
+    probs = np.random.default_rng(5).random((n**3, n))
+
+    def probabilities(key):
+        calls.append(key)
+        return probs[key]
+
+    table = BornTable(probabilities, n**3, n)
+    rng = np.random.default_rng(6)
+    for size in (1, 3, 40, 7, 200):
+        keys = rng.integers(0, 60, size)
+        u = rng.random(size)
+        expected = [int(_outcome(probs[k].cumsum(), x * probs[k].sum()))
+                    for k, x in zip(keys.tolist(), u.tolist())]
+        assert table.sample(keys, u).tolist() == expected
+    assert len(calls) == len(set(calls)) <= 60
+    assert len(table._totals) < 2 * 60

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from opqkd import (
     DominoLayout,
     InvalidSetError,
     Ket,
+    MeasurementBasis,
     ProductState,
     SetParameters,
     StateSet,
@@ -27,7 +29,7 @@ from opqkd import (
     stateset_from_text,
     stateset_to_text,
 )
-from opqkd import stateset
+from opqkd import qcore, stateset
 
 
 def assert_complete_orthogonal(state_set, ortho_tol=1e-10, complete_tol=1e-9):
@@ -172,6 +174,11 @@ def _with_singleton_label(s, label):
     pytest.param(lambda s: _with_states(s, 4, ProductState(4, s[4].ket_a, s[5].ket_b),
                                         ProductState(5, s[5].ket_a, s[4].ket_b)),
                  InvalidSetError, "state 4 does not match", id="swapped-b-parts"),
+    # states 4 and 7 lie on different tiles; swapped whole, both are wrong
+    # and the lowest label is named
+    pytest.param(lambda s: _with_states(s, 4, ProductState(4, s[7].ket_a, s[7].ket_b),
+                                        s[5], s[6], ProductState(7, s[4].ket_a, s[4].ket_b)),
+                 InvalidSetError, "state 4 does not match", id="states-4-and-7-swapped"),
     pytest.param(lambda s: _with_singleton_label(s, 9),
                  ValueError, "labels must be exactly", id="skipped-label"),
     pytest.param(lambda s: _with_singleton_label(s, -1),
@@ -325,3 +332,36 @@ def test_serialization_malformed_fields_raise_invalid_set(corrupt):
     corrupt(doc)
     with pytest.raises(InvalidSetError):
         stateset_from_text(json.dumps(doc))
+
+
+@pytest.mark.parametrize("n", [3, 4, 9])
+def test_bob_basis_wraps_the_joint_matrix_without_a_second_check(monkeypatch, n):
+    s = build_symmetric(n)
+    calls = []
+
+    def spy(name):
+        return lambda *args: calls.append(name)
+
+    monkeypatch.setattr(MeasurementBasis, "__init__", spy("MeasurementBasis.__init__"))
+    monkeypatch.setattr(qcore, "near_identity", spy("near_identity"))
+    monkeypatch.setattr(stateset, "near_identity", spy("near_identity"))
+    basis = bob_basis(s)
+    assert calls == []
+    assert basis.matrix.tobytes() == s.joint_matrix.tobytes()
+    assert np.shares_memory(basis.matrix, s.joint_matrix)
+    assert basis._conj_matrix.tobytes() == s.joint_matrix.conj().tobytes()
+    assert [v.amps.tobytes() for v in basis.vectors] == [row.tobytes() for row in s.joint_matrix]
+
+
+def test_rotation_inside_a_tile_is_caught_by_the_joint_gram_check():
+    # bob_basis relies on StateSet's joint Gram check: a state turned by
+    # 1e-5 towards its tile partner still lies on its tile's cells within
+    # ATOL_STATE, but is no longer orthogonal to that partner
+    s = build_symmetric(3)
+    i, j = s.layout.tiles[0].state_indices
+    turned = math.cos(1e-5) * s[i].ket_b.amps + math.sin(1e-5) * s[j].ket_b.amps
+    states = s.states[:i] + (ProductState(i, s[i].ket_a, Ket(turned)),) + s.states[i + 1:]
+    StateSet._check_layout_consistency(np.stack([st.ket_a.amps for st in states]),
+                                       np.stack([st.ket_b.amps for st in states]), s.layout)
+    with pytest.raises(InvalidSetError, match="complete orthonormal set"):
+        StateSet(states, s.layout)
