@@ -9,12 +9,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import InvalidSetError, ProtocolOrderError
 from .qcore import (
+    ATOL_EXACT,
     ATOL_STATE,
     BornTable,
     Ket,
@@ -22,10 +23,9 @@ from .qcore import (
     RngStream,
     StreamBlocks,
     _canonical_rows,
-    _checked,
     _runs,
     basis_ket,
-    born_probabilities,
+    born_rows,
     projective_measure,
     tensor,
 )
@@ -83,37 +83,43 @@ def conditional_b_basis(state_set: StateSet, a_outcome: int) -> MeasurementBasis
     return _conditional_bases(state_set, (a_outcome,))[0]
 
 
-def _conditional_bases(state_set: StateSet, outcomes: Iterable[int]) -> tuple[MeasurementBasis, ...]:
+def _conditional_bases(state_set: StateSet, outcomes: Sequence[int]) -> tuple[MeasurementBasis, ...]:
     # conditional_b_basis for each outcome; np.hypot is the scalar abs. Of the
     # B-parts overlapping an outcome, one equal byte for byte to an earlier
     # one is dropped first: it overlaps the others as that one does. A stable
     # sort of the parts' bytes runs each class in label order, so the first
     # overlapping part of a class is where its running count reaches 1.
-    amps_a, amps_b = state_set.amps_a, state_set.amps_b
+    # Outcomes keeping as many parts are decided together; the first that fails raises.
+    n, amps_a, amps_b = state_set.n, state_set.amps_a, state_set.amps_b
     order, first = _runs(amps_b.view(np.dtype((np.void, amps_b.itemsize * amps_b.shape[1]))).ravel())
-    overlapping = np.hypot(amps_a.real, amps_a.imag)[order] > ATOL_STATE
+    overlapping = np.hypot(amps_a.real, amps_a.imag)[order][:, outcomes] > ATOL_STATE
     count = np.cumsum(overlapping, axis=0)
     kept = np.empty_like(overlapping)
     kept[order] = overlapping & (count - (count - overlapping)[first][np.cumsum(first) - 1] == 1)
-    return tuple(_conditional_basis(amps_b[kept[:, m]], m) for m in outcomes)
-
-
-def _conditional_basis(amps: np.ndarray, a_outcome: int) -> MeasurementBasis:
-    # The basis of the distinct parts among amps, one per class of parts equal
-    # up to phase, or InvalidSetError.
-    n = amps.shape[1]
-    overlaps = np.abs(amps.conj() @ amps.T)
-    equivalent = np.abs(overlaps - 1.0) <= ATOL_STATE
-    if np.any(~equivalent & (overlaps > ATOL_STATE)):
-        raise InvalidSetError(
-            f"B-parts overlapping A outcome {a_outcome} are not mutually orthogonal"
-        )
-    distinct = amps[~np.tril(equivalent, -1).any(axis=1)]
-    if len(distinct) != n:
-        raise InvalidSetError(
-            f"A outcome {a_outcome} leaves {len(distinct)} distinct B-parts, not {n}"
-        )
-    return MeasurementBasis([_checked(row) for row in _canonical_rows(distinct)])
+    sizes = kept.sum(axis=0)
+    found = np.empty(len(outcomes), dtype=np.int64)  # distinct parts, -1 if some are oblique
+    rows = np.empty((len(outcomes), n), dtype=np.int64)  # labels of each basis's parts
+    for size in np.flatnonzero(np.bincount(sizes)):
+        group = np.flatnonzero(sizes == size)
+        labels = np.nonzero(kept[:, group].T)[1].reshape(len(group), size)
+        parts = amps_b[labels]
+        overlaps = np.abs(np.matmul(parts.conj(), parts.transpose(0, 2, 1)))
+        alike = np.abs(overlaps - 1.0) <= ATOL_STATE  # equal up to phase
+        distinct = ~np.tril(alike, -1).any(axis=2)
+        found[group] = np.where((~alike & (overlaps > ATOL_STATE)).any(axis=(1, 2)), -1, distinct.sum(1))
+        whole = found[group] == n
+        rows[group[whole]] = labels[whole][distinct[whole]].reshape(-1, n)
+    mats = _canonical_rows(amps_b[rows[found == n].ravel()]).reshape(-1, n, n)
+    gram = np.matmul(mats.conj(), mats.transpose(0, 2, 1)) - np.eye(n)
+    orthonormal = iter(np.all(np.abs(gram) <= ATOL_EXACT, axis=(1, 2)).tolist())
+    for m, parts_left in zip(outcomes, found.tolist()):
+        if parts_left < 0:
+            raise InvalidSetError(f"B-parts overlapping A outcome {m} are not mutually orthogonal")
+        if parts_left != n:
+            raise InvalidSetError(f"A outcome {m} leaves {parts_left} distinct B-parts, not {n}")
+        if not next(orthonormal):
+            raise ValueError("basis vectors are not orthonormal")
+    return tuple(MeasurementBasis._checked(mat) for mat in mats)
 
 
 class EveStrategy:
@@ -200,10 +206,18 @@ class ConditionalInterceptResend(EveStrategy):
         return collapsed
 
     def _kernel(self, state_set: StateSet) -> Kernel:
-        n, states = state_set.n, state_set.states
-        first = BornTable(lambda i: born_probabilities(states[i].ket_a, self._comp), n * n, n)
-        second = BornTable(lambda key: born_probabilities(
-            states[key // n].ket_b, self._b_bases[key % n]), n**3, n)
+        n, amps_b = state_set.n, state_set.amps_b
+
+        def second_rows(keys):
+            # key i * n + m: B_i in the basis matched to m, one product per m
+            i, m = np.divmod(keys, n)
+            rows = np.empty((len(keys), n))
+            for o in np.flatnonzero(np.bincount(m, minlength=n)):
+                rows[m == o] = born_rows(self._b_bases[o]._conj_matrix, amps_b[i[m == o]])
+            return rows
+
+        first = BornTable(lambda i: np.abs(state_set.amps_a[i]) ** 2, n * n, n)
+        second = BornTable(second_rows, n**3, n)
 
         def step(alice, draws):
             a = first.sample(alice, draws.random())
@@ -232,9 +246,7 @@ class MeasureSecondOnly(EveStrategy):
         return collapsed
 
     def _kernel(self, state_set: StateSet) -> Kernel:
-        states = state_set.states
-        second = BornTable(lambda i: born_probabilities(states[i].ket_b, self._comp),
-                           len(states), state_set.n)
+        second = BornTable(lambda i: np.abs(state_set.amps_b[i]) ** 2, len(state_set), state_set.n)
 
         def step(alice, draws):
             b = second.sample(alice, draws.random())

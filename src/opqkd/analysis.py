@@ -17,7 +17,7 @@ import numpy as np
 from . import adversary
 from .adversary import canonical_variant, make_strategy
 from .errors import InsufficientDataError
-from .qcore import born_probabilities
+from .qcore import born_rows
 from .stateset import SetParameters, StateSet, build_symmetric
 from .protocol import round_columns, wilson_interval
 
@@ -50,14 +50,17 @@ class EstimateResult:
 
 
 def _intercept_contributions(state_set: StateSet) -> list[float]:
-    bases = adversary._conditional_bases(state_set, range(state_set.n))
-    contributions = []
-    for st in state_set:
-        weights = [abs(z) ** 2 for z in st.ket_a.amps]
-        contributions.append(math.fsum(
-            w * w * math.fsum(p * p for p in born_probabilities(st.ket_b, basis))
-            for w, basis in zip(weights, bases) if w))
-    return contributions
+    # One A outcome m at a time, the rows of born_probabilities for the states
+    # of nonzero weight w = |<m|A_i>|^2, a scalar abs squared by pow, which an
+    # array square may round differently. fsum takes terms in any order.
+    terms: list[list[float]] = [[] for _ in state_set]
+    for m, basis in enumerate(adversary._conditional_bases(state_set, range(state_set.n))):
+        states = np.flatnonzero(state_set.amps_a[:, m])
+        rows = born_rows(basis._conj_matrix, state_set.amps_b[states]) ** 2
+        for i, z, row in zip(states.tolist(), state_set.amps_a[states, m].tolist(), rows.tolist()):
+            if w := abs(z) ** 2:
+                terms[i].append(w * w * math.fsum(row))
+    return [math.fsum(t) for t in terms]
 
 
 def exact_undetected_prob(state_set: StateSet, variant: str = "intercept") -> ExactResult:

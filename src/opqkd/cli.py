@@ -159,7 +159,7 @@ def cmd_validate(args) -> int:
     try:
         state_set, desc = _load_set(args)
     except InvalidSetError as exc:
-        sys.stdout.write(_report_text("validate", [
+        _emit(args, _report_text("validate", [
             ("command", "validate"),
             ("set", "unbuildable"),
             ("error", str(exc)),

@@ -2,6 +2,7 @@
 and keyed deterministic random streams."""
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -133,9 +134,7 @@ def states_orthogonal(x: Ket, y: Ket, tol: float = ATOL_STATE) -> bool:
 
 class MeasurementBasis:
     """Complete orthonormal basis defining a projective measurement: its
-    vectors, checked once, and their matrix (one per row) and conjugate."""
-
-    __slots__ = ("vectors", "matrix", "_conj_matrix")
+    matrix, one vector per row, checked once; kets and conjugate on first use."""
 
     def __init__(self, vectors: Sequence[Ket]):
         vecs = tuple(vectors)
@@ -149,24 +148,29 @@ class MeasurementBasis:
         mat = np.stack([v.amps for v in vecs])
         if not near_identity(mat.conj() @ mat.T):
             raise ValueError("basis vectors are not orthonormal")
-        self._hold(vecs, mat)
+        self._hold(mat)
 
-    def _hold(self, vecs: tuple[Ket, ...], mat: np.ndarray) -> None:
+    def _hold(self, mat: np.ndarray) -> None:
         mat.setflags(write=False)
-        object.__setattr__(self, "vectors", vecs)
         object.__setattr__(self, "matrix", mat)
-        object.__setattr__(self, "_conj_matrix", mat.conj())
-        self._conj_matrix.setflags(write=False)
 
     @classmethod
     def _checked(cls, mat: np.ndarray) -> "MeasurementBasis":
         # The rows of a matrix known to be orthonormal, wrapped as they are.
         basis = object.__new__(cls)
-        basis._hold(tuple(_checked(row) for row in mat), mat)
+        basis._hold(mat)
         return basis
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError("MeasurementBasis is immutable")
+
+    @cached_property
+    def vectors(self) -> tuple[Ket, ...]:
+        return tuple(_checked(row) for row in self.matrix)
+
+    @cached_property
+    def _conj_matrix(self) -> np.ndarray:
+        return self.matrix.conj()
 
     @classmethod
     def computational(cls, dim: int) -> "MeasurementBasis":
@@ -177,7 +181,7 @@ class MeasurementBasis:
         return int(self.matrix.shape[1])
 
     def __len__(self) -> int:
-        return len(self.vectors)
+        return int(self.matrix.shape[0])
 
     def __getitem__(self, k: int) -> Ket:
         return self.vectors[k]
@@ -192,8 +196,10 @@ def born_probabilities(state: Ket, basis: MeasurementBasis) -> np.ndarray:
 
 def born_rows(conj_matrix: np.ndarray, amps: np.ndarray) -> np.ndarray:
     """|<v|state>|^2 for every basis vector v, given the conjugated basis
-    matrix (one vector per row) and the state's amplitudes."""
-    return np.abs(conj_matrix @ amps) ** 2
+    matrix (one vector per row), for one state's amplitudes or a stack of
+    them. Each state is its own matrix-vector product, so a row of a stack
+    holds that state's bytes alone; a matrix-matrix product would not."""
+    return np.abs(np.matmul(conj_matrix, amps[..., None])[..., 0]) ** 2
 
 
 def key_word(name: str, value: int) -> int:
@@ -267,11 +273,12 @@ def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order, first
 
 
-def _cumulative(probs: np.ndarray) -> tuple[np.ndarray, float]:
-    total = float(probs.sum())
-    if total <= 0.0:
+def _cumulative(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # The cumsum and the sum of a distribution, or of each row of a stack.
+    total = probs.sum(axis=-1)
+    if np.any(total <= 0.0):
         raise ValueError("outcome distribution sums to zero")
-    return probs.cumsum(), total
+    return probs.cumsum(axis=-1), total
 
 
 def _outcome(cumulative: np.ndarray, target):
@@ -283,19 +290,18 @@ class BornTable:
     """Projective measurements of a finite family of states, sampled a
     column at a time.
 
-    `probabilities(key)` gives the distribution over `outcomes` outcomes of
-    the state named by an integer key in [0, keys). It is called on the
-    key's first use only; its cumsum and sum become the next row of a
-    dense table, which grows as keys are first used, and a key-to-row
-    index names that row. Each lane then takes its outcome by `_search`,
-    as Bob's `ProductBornTable` does, which is the outcome
-    `projective_measure` would take from the same numbers and the same
-    uniform draw."""
+    `rows(keys)` gives the distributions over `outcomes` outcomes of the
+    states named by integer keys in [0, keys), one row per key. Each
+    `sample` calls it once, for the keys first used in that call, and keeps
+    the rows' cumsums and sums as the next rows of a dense table, which
+    grows by doubling; a key-to-row index names each key's row. Lanes take
+    their outcomes by `_search`, as Bob's `ProductBornTable` does: those
+    `projective_measure` takes from the same numbers and uniform draws."""
 
-    __slots__ = ("_probabilities", "_row", "_cumsums", "_totals", "_used")
+    __slots__ = ("_rows", "_row", "_cumsums", "_totals", "_used")
 
-    def __init__(self, probabilities: Callable[[int], np.ndarray], keys: int, outcomes: int):
-        self._probabilities = probabilities
+    def __init__(self, rows: Callable[[np.ndarray], np.ndarray], keys: int, outcomes: int):
+        self._rows = rows
         self._row = np.full(keys, -1)
         self._cumsums = np.empty((0, outcomes))
         self._totals = np.empty(0)
@@ -313,8 +319,7 @@ class BornTable:
             cumsums[:first], totals[:first] = self._cumsums[:first], self._totals[:first]
             self._cumsums, self._totals = cumsums, totals
         self._row[new] = np.arange(first, self._used)
-        for row, key in enumerate(new.tolist(), first):
-            self._cumsums[row], self._totals[row] = _cumulative(self._probabilities(key))
+        self._cumsums[first:self._used], self._totals[first:self._used] = _cumulative(self._rows(new))
         rows = self._row[keys]
         return _search(self._cumsums, rows, u * self._totals[rows])
 

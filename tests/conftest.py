@@ -4,7 +4,9 @@ relabelled quarter-turn symmetry.
 
 The enumerator below deliberately avoids the library's analysis code: it
 walks the full outcome tree with explicit joint-space vectors, so it can
-serve as an oracle for the closed-form and formula-based paths.
+serve as an oracle for the closed-form and formula-based paths. The scalar
+reference after it repeats the library's exact intercept sum one state and
+one basis at a time, so the batched sum can be held to its bytes.
 """
 from __future__ import annotations
 
@@ -13,7 +15,8 @@ import math
 
 import numpy as np
 
-from opqkd import DominoLayout, SetParameters, StateSet, Tile, states_from_tiles
+from opqkd import DominoLayout, SetParameters, StateSet, Tile, born_probabilities, states_from_tiles
+from opqkd.adversary import _conditional_bases
 
 
 def random_unit_pair(rng: np.random.Generator) -> tuple[complex, complex]:
@@ -106,6 +109,20 @@ def survival_by_enumeration(state_set, variant: str) -> float:
             raise ValueError(f"no enumeration for {variant!r}")
         total += acc
     return total / len(states)
+
+
+def intercept_contributions_by_scalar_rows(state_set) -> list[float]:
+    """Per-state survival contributions of the conditional intercept, one
+    born_probabilities row per state and outcome and scalar weights
+    |<m|A_i>|^2: the exact enumeration's sum, term by term."""
+    bases = _conditional_bases(state_set, range(state_set.n))
+    contributions = []
+    for st in state_set:
+        weights = [abs(z) ** 2 for z in st.ket_a.amps]
+        contributions.append(math.fsum(
+            w * w * math.fsum(p * p for p in born_probabilities(st.ket_b, basis))
+            for w, basis in zip(weights, bases) if w))
+    return contributions
 
 
 def layout_from_cellsets(n, cellsets, rows=None, cols=None, amplitudes=np.eye):

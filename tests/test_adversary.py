@@ -1,4 +1,5 @@
 import cmath
+import functools
 import math
 from types import SimpleNamespace
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as hst
 
-from conftest import random_parameters, random_tiling
+from conftest import intercept_contributions_by_scalar_rows, random_parameters, random_tiling
 from opqkd import (
     ConditionalInterceptResend,
     EveStrategy,
@@ -30,13 +31,18 @@ from opqkd import (
     states_from_tiles,
     states_orthogonal,
 )
-from opqkd.adversary import STRATEGY_NAMES, _conditional_basis, _conditional_bases, canonical_variant
+from opqkd import adversary
+from opqkd.adversary import STRATEGY_NAMES, _conditional_bases, canonical_variant
+from opqkd.analysis import exact_undetected_prob
 from opqkd.protocol import round_columns
 from opqkd.qcore import (
     ATOL_STATE,
     BornTable,
     Ket,
+    MeasurementBasis,
     StreamBlocks,
+    _canonical_rows,
+    _cumulative,
     _outcome,
     born_probabilities,
     canonical_phase,
@@ -536,6 +542,24 @@ def _first_overlapping_parts(s, m):
     return np.array(rows)
 
 
+def _own_conditional_basis(amps, a_outcome):
+    # the basis of the distinct parts among amps, decided for this outcome
+    # alone and checked by MeasurementBasis, or its error
+    n = amps.shape[1]
+    overlaps = np.abs(amps.conj() @ amps.T)
+    equivalent = np.abs(overlaps - 1.0) <= ATOL_STATE
+    if np.any(~equivalent & (overlaps > ATOL_STATE)):
+        raise InvalidSetError(
+            f"B-parts overlapping A outcome {a_outcome} are not mutually orthogonal"
+        )
+    distinct = amps[~np.tril(equivalent, -1).any(axis=1)]
+    if len(distinct) != n:
+        raise InvalidSetError(
+            f"A outcome {a_outcome} leaves {len(distinct)} distinct B-parts, not {n}"
+        )
+    return MeasurementBasis([Ket(row) for row in _canonical_rows(distinct)])
+
+
 @hst.composite
 def _drawn_set(draw):
     # a random or degenerate 3 x 3 set, one of the family, or a set on a
@@ -577,7 +601,7 @@ def test_conditional_bases_from_one_dedupe_equal_each_outcomes_own(s):
             return str(exc)
         return [(b.matrix.tobytes(), b._conj_matrix.tobytes()) for b in bases]
 
-    own = [outcome(lambda m=m: [_conditional_basis(_first_overlapping_parts(s, m), m)])
+    own = [outcome(lambda m=m: [_own_conditional_basis(_first_overlapping_parts(s, m), m)])
            for m in range(s.n)]
     assert [outcome(lambda m=m: [conditional_b_basis(s, m)]) for m in range(s.n)] == own
     first_error = next((o for o in own if isinstance(o, str)), None)
@@ -585,23 +609,134 @@ def test_conditional_bases_from_one_dedupe_equal_each_outcomes_own(s):
     assert outcome(lambda: _conditional_bases(s, range(s.n))) == expected
 
 
+def test_conditional_bases_raise_the_first_failing_outcomes_error():
+    # outcome 0 keeps three parts within ATOL_STATE of orthogonal but not
+    # within ATOL_EXACT, which only the Gram check refuses; outcome 2 keeps
+    # one part. Whatever the order asked for, the first failing outcome
+    # raises, with its own first failing check's error
+    tilted = normalize([5e-10, 1.0, 0.0])
+    fake = _stacked_parts([(basis_ket(3, 0), basis_ket(3, 0)), (basis_ket(3, 0), tilted),
+                           (basis_ket(3, 0), basis_ket(3, 2)), (basis_ket(3, 2), basis_ket(3, 1))])
+    with pytest.raises(ValueError, match="^basis vectors are not orthonormal$"):
+        _own_conditional_basis(fake.amps_b[:3], 0)
+    for outcomes, error, message in (((0, 2), ValueError, "^basis vectors are not orthonormal$"),
+                                     ((2, 0), InvalidSetError, "A outcome 2 leaves 1 distinct"),
+                                     ((1,), InvalidSetError, "A outcome 1 leaves 0 distinct")):
+        with pytest.raises(error, match=message):
+            _conditional_bases(fake, outcomes)
+
+
 def test_born_table_keeps_rows_for_the_keys_it_used():
-    # rows are added on first use, each key's probabilities computed once,
-    # across calls that grow the table
+    # each sample asks once for the rows of the keys it uses first, so every
+    # key's row is computed once and only if used, across calls that grow
+    # the table
     n, calls = 9, []
     probs = np.random.default_rng(5).random((n**3, n))
 
-    def probabilities(key):
-        calls.append(key)
-        return probs[key]
+    def rows(keys):
+        calls.append(keys.tolist())
+        return probs[keys]
 
-    table = BornTable(probabilities, n**3, n)
+    table = BornTable(rows, n**3, n)
     rng = np.random.default_rng(6)
+    used = set()
     for size in (1, 3, 40, 7, 200):
         keys = rng.integers(0, 60, size)
         u = rng.random(size)
         expected = [int(_outcome(probs[k].cumsum(), x * probs[k].sum()))
                     for k, x in zip(keys.tolist(), u.tolist())]
+        asked = len(calls)
         assert table.sample(keys, u).tolist() == expected
-    assert len(calls) == len(set(calls)) <= 60
+        assert len(calls) == asked + 1 and set(calls[-1]) == set(keys.tolist()) - used
+        used.update(keys.tolist())
+    computed = [key for call in calls for key in call]
+    assert len(computed) == len(set(computed)) == len(used) <= 60
     assert len(table._totals) < 2 * 60
+
+
+@functools.lru_cache(maxsize=6)
+def _family(n):
+    return build_symmetric(n)
+
+
+class _RecordingTable(BornTable):
+    # a BornTable that keeps every row its callback returned, by key
+    made: list = []
+
+    def __init__(self, rows, keys, outcomes):
+        self.rows_by_key = {}
+
+        def recorded(new):
+            out = rows(new)
+            self.rows_by_key.update(zip(new.tolist(), out))
+            return out
+
+        super().__init__(recorded, keys, outcomes)
+        _RecordingTable.made.append(self)
+
+
+@settings(max_examples=25, deadline=None)
+@given(hst.data())
+def test_batched_table_rows_have_the_per_key_bytes(data):
+    # the intercept's two tables and the complementary table: each key's
+    # batched row, cumsum and total hold the bytes of born_probabilities and
+    # _cumulative on that key's own kets
+    if data.draw(hst.booleans()):
+        s = _random_3x3(data.draw(hst.integers(0, 2**32 - 1)))
+    else:
+        s = _family(data.draw(hst.integers(3, 64)))
+    n = s.n
+    name = data.draw(hst.sampled_from(("intercept", "complementary")))
+    try:
+        eve = make_strategy(name, s)
+    except InvalidSetError:
+        return
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_RecordingTable, "made", [])
+        mp.setattr(adversary, "BornTable", _RecordingTable)
+        eve._kernel(s)
+        tables = _RecordingTable.made
+    if name == "intercept":
+        refs = [lambda i: (s[i].ket_a, eve._comp),
+                lambda key: (s[key // n].ket_b, eve._b_bases[key % n])]
+    else:
+        refs = [lambda i: (s[i].ket_b, eve._comp)]
+    assert len(tables) == len(refs)
+    for table, ref in zip(tables, refs):
+        size = len(table._row)
+        for _ in range(data.draw(hst.integers(1, 3))):
+            keys = np.array(data.draw(hst.lists(hst.integers(0, size - 1), min_size=1, max_size=40)))
+            table.sample(keys, np.zeros(len(keys)))
+        for key, row in table.rows_by_key.items():
+            probs = born_probabilities(*ref(key))
+            cumulative, total = _cumulative(probs)
+            assert row.tobytes() == probs.tobytes()
+            assert table._cumsums[table._row[key]].tobytes() == cumulative.tobytes()
+            assert table._totals[table._row[key]] == total
+
+
+def _assert_exact_intercept_is_the_scalar_sum(s):
+    result = exact_undetected_prob(s, "intercept")
+    reference = intercept_contributions_by_scalar_rows(s)
+    assert result.contributions == tuple(reference)
+    assert result.value == math.fsum(reference) / len(s)
+
+
+@settings(max_examples=20, deadline=None)
+@given(hst.data())
+def test_exact_intercept_equals_the_scalar_sum_property(data):
+    if data.draw(hst.booleans()):
+        s = _random_3x3(data.draw(hst.integers(0, 2**32 - 1)))
+    else:
+        s = _family(data.draw(hst.integers(3, 40)))
+    try:
+        _conditional_bases(s, range(s.n))
+    except InvalidSetError:
+        return
+    _assert_exact_intercept_is_the_scalar_sum(s)
+
+
+@pytest.mark.parametrize("n", [44])
+def test_exact_intercept_equals_the_scalar_sum(n):
+    # at n = 44 an array square of the weights differs from the scalar one
+    _assert_exact_intercept_is_the_scalar_sum(_family(n))

@@ -115,6 +115,19 @@ def test_validate_malformed_set_file_fails_cleanly(tmp_path):
     assert "verdict = fail" in out.getvalue()
 
 
+def test_validate_unbuildable_report_goes_to_the_output_file(tmp_path):
+    # with --output the report of a set that cannot be built is written
+    # there, like every other report, and nothing reaches stdout
+    bad, report = tmp_path / "bad.json", tmp_path / "report.txt"
+    bad.write_text('{"format": "opqkd-stateset-1", "n": 3}', encoding="utf-8")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["validate", "--set-file", str(bad), "--output", str(report)]) == 1
+    assert out.getvalue() == ""
+    assert read_report(report)["set"] == "unbuildable"
+    assert read_report(report)["verdict"] == "fail"
+
+
 def test_validate_set_file_with_two_states_swapped_fails(tmp_path):
     doc = json.loads(stateset_to_text(build_symmetric(4)))
     first, second = doc["states"][5], doc["states"][9]

@@ -18,6 +18,7 @@ from opqkd import (
     bob_basis,
     build_symmetric,
     detection_probability,
+    exact_undetected_prob,
     make_strategy,
     monte_carlo_estimate,
     run_round,
@@ -28,6 +29,7 @@ from opqkd import (
 from opqkd import adversary, analysis, cli, protocol, qcore, stateset
 from opqkd.adversary import STRATEGY_NAMES
 from opqkd.protocol import round_columns
+from opqkd.qcore import StreamBlocks, philox_block
 
 
 def test_config_validation():
@@ -307,6 +309,31 @@ def test_first_chunk_of_a_long_session_holds_one_chunk():
     assert peak < 4 * 2**20
 
 
+def test_exact_intercept_holds_one_outcomes_rows_at_a_time():
+    # the exact sum forms its rows one A outcome at a time: all of them at
+    # once, as Python floats, would take tens of MiB at n = 41
+    s = build_symmetric(41)
+    tracemalloc.start()
+    exact_undetected_prob(s, "intercept")
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 12 * 2**20
+
+
+def test_intercept_step_never_gathers_a_basis_per_lane():
+    # the second leg broadcasts each conditional basis over its lanes: one
+    # 41 x 41 basis gathered per lane of a chunk would take 220 MB
+    s = build_symmetric(41)
+    step, _ = make_strategy("intercept", s)._kernel(s)
+    alice = np.random.default_rng(3).integers(0, len(s), protocol.CHUNK_ROUNDS)
+    draws = StreamBlocks(philox_block(3, np.arange(protocol.CHUNK_ROUNDS)))
+    tracemalloc.start()
+    step(alice, draws)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 12 * 2**20
+
+
 def _pass_counts(monkeypatch, run):
     # calls per pass at the sites where the benchmark's tracer counts them:
     # MeasurementBasis.__init__, RngStream.__init__ and qcore.tensor under
@@ -343,7 +370,7 @@ def test_repeated_estimates_count_the_same_work(monkeypatch, n, name):
     s = build_symmetric(n)
     first, second = _pass_counts(monkeypatch, lambda: monte_carlo_estimate(s, name, 3000, 4))
     assert first == second
-    assert first["basis"] == {"intercept": n + 1, "complementary": 1, "substitute": 0}[name]
+    assert first["basis"] == {"intercept": 1, "complementary": 1, "substitute": 0}[name]
 
 
 def test_repeated_simulate_runs_count_the_same_work(monkeypatch, tmp_path):
@@ -352,4 +379,4 @@ def test_repeated_simulate_runs_count_the_same_work(monkeypatch, tmp_path):
     with contextlib.redirect_stdout(io.StringIO()):
         first, second = _pass_counts(monkeypatch, lambda: cli.main(argv))
     assert first == second
-    assert first["basis"] == 4 and first["rng"] >= 1
+    assert first["basis"] == 1 and first["rng"] >= 1
