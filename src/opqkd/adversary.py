@@ -17,7 +17,6 @@ from .errors import InvalidSetError, ProtocolOrderError
 from .qcore import (
     ATOL_EXACT,
     ATOL_STATE,
-    BornTable,
     Ket,
     MeasurementBasis,
     RngStream,
@@ -26,6 +25,7 @@ from .qcore import (
     _runs,
     basis_ket,
     born_rows,
+    born_sample,
     projective_measure,
     tensor,
 )
@@ -206,7 +206,11 @@ class ConditionalInterceptResend(EveStrategy):
         return collapsed
 
     def _kernel(self, state_set: StateSet) -> Kernel:
-        n, amps_b = state_set.n, state_set.amps_b
+        n, amps_a, amps_b = state_set.n, state_set.amps_a, state_set.amps_b
+        # alike[i]: the first label whose B-part has B_i's bytes, and so its rows
+        order, first = _runs(amps_b.view(np.dtype((np.void, amps_b.itemsize * n))).ravel())
+        alike = np.empty(len(order), dtype=np.int64)
+        alike[order] = order[first][np.cumsum(first) - 1]
 
         def second_rows(keys):
             # key i * n + m: B_i in the basis matched to m, one product per m
@@ -216,12 +220,9 @@ class ConditionalInterceptResend(EveStrategy):
                 rows[m == o] = born_rows(self._b_bases[o]._conj_matrix, amps_b[i[m == o]])
             return rows
 
-        first = BornTable(lambda i: np.abs(state_set.amps_a[i]) ** 2, n * n, n)
-        second = BornTable(second_rows, n**3, n)
-
         def step(alice, draws):
-            a = first.sample(alice, draws.random())
-            b = second.sample(alice * n + a, draws.random())
+            a = born_sample(lambda i: np.abs(amps_a[i]) ** 2, n * n, alice, draws.random())
+            b = born_sample(second_rows, n**3, alike[alice] * n + a, draws.random())
             return a, b, self._inferred[a, b], (a, a * n + b)
 
         return step, (_canonical_rows(self._comp.matrix),
@@ -246,10 +247,10 @@ class MeasureSecondOnly(EveStrategy):
         return collapsed
 
     def _kernel(self, state_set: StateSet) -> Kernel:
-        second = BornTable(lambda i: np.abs(state_set.amps_b[i]) ** 2, len(state_set), state_set.n)
+        amps_b = state_set.amps_b
 
         def step(alice, draws):
-            b = second.sample(alice, draws.random())
+            b = born_sample(lambda i: np.abs(amps_b[i]) ** 2, len(amps_b), alice, draws.random())
             return None, b, self._inferred[b], (alice, b)
 
         return step, (state_set.amps_a, _canonical_rows(self._comp.matrix))

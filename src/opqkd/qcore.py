@@ -286,42 +286,21 @@ def _outcome(cumulative: np.ndarray, target):
     return np.minimum(cumulative.searchsorted(target, side="right"), len(cumulative) - 1)
 
 
-class BornTable:
-    """Projective measurements of a finite family of states, sampled a
-    column at a time.
+def born_sample(rows: Callable[[np.ndarray], np.ndarray], size: int,
+                keys: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Outcome of measuring state keys[j] with uniform draw u[j], per lane.
 
-    `rows(keys)` gives the distributions over `outcomes` outcomes of the
-    states named by integer keys in [0, keys), one row per key. Each
-    `sample` calls it once, for the keys first used in that call, and keeps
-    the rows' cumsums and sums as the next rows of a dense table, which
-    grows by doubling; a key-to-row index names each key's row. Lanes take
-    their outcomes by `_search`, as Bob's `ProductBornTable` does: those
-    `projective_measure` takes from the same numbers and uniform draws."""
-
-    __slots__ = ("_rows", "_row", "_cumsums", "_totals", "_used")
-
-    def __init__(self, rows: Callable[[np.ndarray], np.ndarray], keys: int, outcomes: int):
-        self._rows = rows
-        self._row = np.full(keys, -1)
-        self._cumsums = np.empty((0, outcomes))
-        self._totals = np.empty(0)
-        self._used = 0
-
-    def sample(self, keys: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Outcome of measuring state keys[j] with uniform draw u[j], per lane."""
-        wanted = np.zeros(len(self._row), dtype=bool)
-        wanted[keys] = True
-        new = np.flatnonzero(wanted & (self._row < 0))
-        first, self._used = self._used, self._used + len(new)
-        if self._used > len(self._totals):  # grow by doubling, up to one row per key
-            size = min(max(self._used, 2 * len(self._totals)), len(self._row))
-            cumsums, totals = np.empty((size, self._cumsums.shape[1])), np.empty(size)
-            cumsums[:first], totals[:first] = self._cumsums[:first], self._totals[:first]
-            self._cumsums, self._totals = cumsums, totals
-        self._row[new] = np.arange(first, self._used)
-        self._cumsums[first:self._used], self._totals[first:self._used] = _cumulative(self._rows(new))
-        rows = self._row[keys]
-        return _search(self._cumsums, rows, u * self._totals[rows])
+    `rows(keys)` gives the outcome distributions of the states named by
+    integer keys in [0, size), one row per key. It is asked once, for the
+    call's distinct keys in ascending order, and nothing is kept past the
+    call. Lanes take their outcomes by `_search`, as Bob's
+    `ProductBornTable` does: those `projective_measure` takes from the same
+    numbers and uniform draws."""
+    wanted = np.zeros(size, dtype=bool)
+    wanted[keys] = True
+    cumulative, totals = _cumulative(rows(np.flatnonzero(wanted)))
+    row = (np.cumsum(wanted) - 1)[keys]
+    return _search(cumulative, row, u * totals[row])
 
 
 _U = 2.0**-53

@@ -37,7 +37,6 @@ from opqkd.analysis import exact_undetected_prob
 from opqkd.protocol import round_columns
 from opqkd.qcore import (
     ATOL_STATE,
-    BornTable,
     Ket,
     MeasurementBasis,
     StreamBlocks,
@@ -45,6 +44,7 @@ from opqkd.qcore import (
     _cumulative,
     _outcome,
     born_probabilities,
+    born_sample,
     canonical_phase,
     guard_band,
     philox_block,
@@ -626,10 +626,9 @@ def test_conditional_bases_raise_the_first_failing_outcomes_error():
             _conditional_bases(fake, outcomes)
 
 
-def test_born_table_keeps_rows_for_the_keys_it_used():
-    # each sample asks once for the rows of the keys it uses first, so every
-    # key's row is computed once and only if used, across calls that grow
-    # the table
+def test_born_sample_asks_once_for_the_distinct_keys():
+    # each call asks once for the rows of its distinct keys, in ascending
+    # order, and each lane takes _outcome on its own key's row
     n, calls = 9, []
     probs = np.random.default_rng(5).random((n**3, n))
 
@@ -637,21 +636,15 @@ def test_born_table_keeps_rows_for_the_keys_it_used():
         calls.append(keys.tolist())
         return probs[keys]
 
-    table = BornTable(rows, n**3, n)
     rng = np.random.default_rng(6)
-    used = set()
     for size in (1, 3, 40, 7, 200):
         keys = rng.integers(0, 60, size)
         u = rng.random(size)
         expected = [int(_outcome(probs[k].cumsum(), x * probs[k].sum()))
                     for k, x in zip(keys.tolist(), u.tolist())]
         asked = len(calls)
-        assert table.sample(keys, u).tolist() == expected
-        assert len(calls) == asked + 1 and set(calls[-1]) == set(keys.tolist()) - used
-        used.update(keys.tolist())
-    computed = [key for call in calls for key in call]
-    assert len(computed) == len(set(computed)) == len(used) <= 60
-    assert len(table._totals) < 2 * 60
+        assert born_sample(rows, n**3, keys, u).tolist() == expected
+        assert len(calls) == asked + 1 and calls[-1] == sorted(set(keys.tolist()))
 
 
 @functools.lru_cache(maxsize=6)
@@ -659,28 +652,13 @@ def _family(n):
     return build_symmetric(n)
 
 
-class _RecordingTable(BornTable):
-    # a BornTable that keeps every row its callback returned, by key
-    made: list = []
-
-    def __init__(self, rows, keys, outcomes):
-        self.rows_by_key = {}
-
-        def recorded(new):
-            out = rows(new)
-            self.rows_by_key.update(zip(new.tolist(), out))
-            return out
-
-        super().__init__(recorded, keys, outcomes)
-        _RecordingTable.made.append(self)
-
-
 @settings(max_examples=25, deadline=None)
 @given(hst.data())
 def test_batched_table_rows_have_the_per_key_bytes(data):
-    # the intercept's two tables and the complementary table: each key's
-    # batched row, cumsum and total hold the bytes of born_probabilities and
-    # _cumulative on that key's own kets
+    # the intercept's two samplers and the complementary one: each call of a
+    # kernel's step asks for its distinct keys in ascending order, and each
+    # key's batched row, cumsum and total hold the bytes of
+    # born_probabilities and _cumulative on that key's own kets
     if data.draw(hst.booleans()):
         s = _random_3x3(data.draw(hst.integers(0, 2**32 - 1)))
     else:
@@ -691,28 +669,37 @@ def test_batched_table_rows_have_the_per_key_bytes(data):
         eve = make_strategy(name, s)
     except InvalidSetError:
         return
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_RecordingTable, "made", [])
-        mp.setattr(adversary, "BornTable", _RecordingTable)
-        eve._kernel(s)
-        tables = _RecordingTable.made
     if name == "intercept":
         refs = [lambda i: (s[i].ket_a, eve._comp),
                 lambda key: (s[key // n].ket_b, eve._b_bases[key % n])]
     else:
         refs = [lambda i: (s[i].ket_b, eve._comp)]
-    assert len(tables) == len(refs)
-    for table, ref in zip(tables, refs):
-        size = len(table._row)
-        for _ in range(data.draw(hst.integers(1, 3))):
-            keys = np.array(data.draw(hst.lists(hst.integers(0, size - 1), min_size=1, max_size=40)))
-            table.sample(keys, np.zeros(len(keys)))
-        for key, row in table.rows_by_key.items():
-            probs = born_probabilities(*ref(key))
-            cumulative, total = _cumulative(probs)
-            assert row.tobytes() == probs.tobytes()
-            assert table._cumsums[table._row[key]].tobytes() == cumulative.tobytes()
-            assert table._totals[table._row[key]] == total
+    calls = []  # (keys, keys asked, rows) of every born_sample call, in order
+
+    def recording(rows, size, keys, u):
+        def recorded(asked):
+            out = rows(asked)
+            calls.append((keys, asked, out))
+            return out
+        return born_sample(recorded, size, keys, u)
+
+    step, _ = eve._kernel(s)
+    steps = data.draw(hst.integers(1, 3))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(adversary, "born_sample", recording)
+        for seed in range(steps):
+            alice = np.array(data.draw(hst.lists(hst.integers(0, len(s) - 1), min_size=1, max_size=40)))
+            step(alice, StreamBlocks(philox_block(seed, np.arange(len(alice)))))
+    assert len(calls) == steps * len(refs)
+    for k, (keys, asked, rows) in enumerate(calls):
+        assert asked.tolist() == sorted(set(keys.tolist()))
+        cumulative, total = _cumulative(rows)
+        for r, key in enumerate(asked.tolist()):
+            probs = born_probabilities(*refs[k % len(refs)](key))
+            expected_cumulative, expected_total = _cumulative(probs)
+            assert rows[r].tobytes() == probs.tobytes()
+            assert cumulative[r].tobytes() == expected_cumulative.tobytes()
+            assert total[r] == expected_total
 
 
 def _assert_exact_intercept_is_the_scalar_sum(s):

@@ -10,6 +10,7 @@ import io
 
 from opqkd import build_symmetric, monte_carlo_estimate
 from opqkd.cli import main
+from opqkd.protocol import CHUNK_ROUNDS
 
 SKEWED = "1,0,0.9486832980505138,0.31622776601683794,1,0,1,0"
 DEGENERATE = "1,0,1,0,1,0,1,0"
@@ -17,17 +18,25 @@ STRATEGIES = ("none", "intercept", "complementary", "substitute")
 ATTACKS = ("intercept", "complementary", "substitute")
 DIMS = (3, 4, 5, 9)
 FRACTIONS = ("0.1", "0.001", "0.25")
+MULTI_CHUNK = (("intercept", 3), ("intercept", 9), ("complementary", 9))
 
 
 def simulate_cases():
     """(name, argv without output paths): every strategy at every dimension;
-    round counts step by 37 from 2000, so most are not multiples of ten."""
+    round counts step by 37 from 2000, so most are not multiples of ten.
+    The attacked sessions of MULTI_CHUNK span three chunks of rounds, so
+    they pin the attackers' outcomes past the first chunk."""
     cases = []
     for i, (strategy, n) in enumerate((s, n) for s in STRATEGIES for n in DIMS):
         argv = ["simulate", "--dim", str(n), "--strategy", strategy,
                 "--rounds", str(2000 + 37 * i), "--seed", str(100 + i),
                 "--check-fraction", FRACTIONS[i % len(FRACTIONS)]]
         cases.append((f"simulate-{strategy}-{n}", argv))
+    for i, (strategy, n) in enumerate(MULTI_CHUNK):
+        argv = ["simulate", "--dim", str(n), "--strategy", strategy,
+                "--rounds", str(2 * CHUNK_ROUNDS + 37), "--seed", str(200 + i),
+                "--check-fraction", FRACTIONS[i % len(FRACTIONS)]]
+        cases.append((f"simulate-{strategy}-{n}-chunks", argv))
     return cases
 
 
@@ -210,6 +219,30 @@ GOLDEN_DIGESTS: dict[str, str] = {
     "simulate-substitute-9.eve-transcript":
         "dd6e83e6c78dca4a16d2a246fc028ff7d3260c9ba8b47cfcdd6fd525df28b15d",
     "simulate-substitute-9.key-out":
+        "01ba4719c80b6fe911b091a7c05124b64eeece964e09c058ef8f9805daca546b",
+    "simulate-intercept-3-chunks.report":
+        "47c0a599d445de718ce79c8944674a7bf7e93c1808e21e24c028d8d656abe5d5",
+    "simulate-intercept-3-chunks.transcript":
+        "79d5afa92b7735d0d183f38c7a738ef64304bb680bb46ea7d3a1999ebe22119c",
+    "simulate-intercept-3-chunks.eve-transcript":
+        "b8a03895098878bfbc222e774f5e2f4363454a99bab6e602beb54db512e1f04b",
+    "simulate-intercept-3-chunks.key-out":
+        "01ba4719c80b6fe911b091a7c05124b64eeece964e09c058ef8f9805daca546b",
+    "simulate-intercept-9-chunks.report":
+        "d082c0ca6331e93fa4d3bc8d851ac26c646dbc9ba453a44ddf67954d0d6ec149",
+    "simulate-intercept-9-chunks.transcript":
+        "52dbd9eb9ada8351e0b32da03eb6721274cc18a949e505a3cab53835141b85be",
+    "simulate-intercept-9-chunks.eve-transcript":
+        "50345fd4259f4d3d8d5a788866535add4978e1b3130763fd6e9e0d0e49f58d46",
+    "simulate-intercept-9-chunks.key-out":
+        "01ba4719c80b6fe911b091a7c05124b64eeece964e09c058ef8f9805daca546b",
+    "simulate-complementary-9-chunks.report":
+        "15ad91e797b655faabcb03fca6b62b384ae38c010c2dd0d831d041853a45152e",
+    "simulate-complementary-9-chunks.transcript":
+        "32df79d899756d94bf7461826f186e5406fcae4a2cc866fad63a42a8e0f9582f",
+    "simulate-complementary-9-chunks.eve-transcript":
+        "e8f9ae84b91da877b8bbc52bd1bedfad821ba61711b9504d697b6fb44ca9652d",
+    "simulate-complementary-9-chunks.key-out":
         "01ba4719c80b6fe911b091a7c05124b64eeece964e09c058ef8f9805daca546b",
     "exact-intercept-3":
         "f0244ac418fadff8da8ac8842e6b7deaf50cb1962474da777f8da7731c6ec4c1",
