@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -112,6 +113,10 @@ class Tile:
     def __post_init__(self) -> None:
         if self.orientation not in ("row", "col", "singleton"):
             raise ValueError(f"unknown tile orientation {self.orientation!r}")
+        try:
+            object.__setattr__(self, "fixed_index", operator.index(self.fixed_index))
+        except TypeError as exc:
+            raise ValueError(f"tile fixed_index must be an integer: {exc}") from None
         cells = tuple((int(a), int(b)) for a, b in self.cells)
         object.__setattr__(self, "cells", cells)
         if len(set(cells)) != len(cells):
@@ -603,35 +608,41 @@ def bob_table(state_set: StateSet, kets_a: np.ndarray, kets_b: np.ndarray) -> Pr
 _FORMAT_TAG = "opqkd-stateset-1"
 
 
-def _complex_pairs(arr: np.ndarray) -> list[list[float]]:
-    return [[float(z.real), float(z.imag)] for z in arr]
+def _indented(value, depth: int = 0) -> str:
+    # json.dumps(value, indent=2) at this depth, for dicts and non-empty lists
+    # whose leaves are strings of JSON text already; each list holds leaves
+    # only or containers only.
+    pad = "\n" + "  " * (depth + 1)
+    if isinstance(value, dict):
+        items = [f'"{k}": ' + (v if isinstance(v, str) else _indented(v, depth + 1))
+                 for k, v in value.items()]
+        return f"{{{pad}{(',' + pad).join(items)}{pad[:-2]}}}"
+    items = value if isinstance(value[0], str) else [_indented(v, depth + 1) for v in value]
+    return f"[{pad}{(',' + pad).join(items)}{pad[:-2]}]"
 
 
 def stateset_to_text(state_set: StateSet) -> str:
-    """Serialize a state set (states plus layout) as structured text."""
-    doc = {
-        "format": _FORMAT_TAG,
-        "n": state_set.n,
-        "states": [
-            {
-                "index": st.index,
-                "ket_a": _complex_pairs(st.ket_a.amps),
-                "ket_b": _complex_pairs(st.ket_b.amps),
-            }
-            for st in state_set
-        ],
-        "tiles": [
-            {
-                "orientation": t.orientation,
-                "fixed_index": t.fixed_index,
-                "cells": [list(c) for c in t.cells],
-                "state_indices": list(t.state_indices),
-                "amplitudes": [_complex_pairs(row) for row in t.amplitudes],
-            }
-            for t in state_set.layout.tiles
-        ],
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    """Serialize a state set as the indent-2 JSON `json.dumps` writes, from
+    the amplitude arrays: each distinct (re, im) bit pattern, keyed by its
+    bytes so that -0.0 stays apart from 0.0, is formatted once by repr."""
+    tiles = state_set.layout.tiles
+    flat = np.concatenate([a.reshape(-1) for a in (state_set.amps_a, state_set.amps_b,
+                                                   *(t.amplitudes for t in tiles))])
+    keys, inverse = np.unique(flat.view("V16"), return_inverse=True)
+    values = keys.view(np.complex128).tolist()
+    pairs = {depth: np.array([_indented([repr(z.real), repr(z.imag)], depth) for z in values],
+                             dtype=object) for depth in (4, 5)}
+    size = 2 * state_set.amps_a.size
+    kets = pairs[4][inverse[:size]].reshape(2, len(state_set), state_set.n).tolist()
+    amps = np.split(pairs[5][inverse[size:]], np.cumsum([t.amplitudes.size for t in tiles])[:-1])
+    state_docs = [{"index": "%d" % i, "ket_a": a, "ket_b": b} for i, (a, b) in enumerate(zip(*kets))]
+    tile_docs = [{"orientation": f'"{t.orientation}"', "fixed_index": "%d" % t.fixed_index,
+                  "cells": [["%d" % a, "%d" % b] for a, b in t.cells],
+                  "state_indices": ["%d" % k for k in t.state_indices],
+                  "amplitudes": amp.reshape(t.amplitudes.shape).tolist()} for t, amp in zip(tiles, amps)]
+    # The top level is one join, so the whole text is copied once.
+    return "".join([f'{{\n  "format": "{_FORMAT_TAG}",\n  "n": {state_set.n:d},\n  "states": ',
+                    _indented(state_docs, 1), ',\n  "tiles": ', _indented(tile_docs, 1), "\n}\n"])
 
 
 def _from_pairs(pairs: Sequence[Sequence[float]]) -> np.ndarray:
@@ -648,21 +659,20 @@ def stateset_from_text(text: str) -> StateSet:
         raise InvalidSetError("not a recognized state-set document")
     try:
         n = check_dim("set-file n", int(doc["n"]))
-        tiles = tuple(
-            Tile(
-                rec["orientation"],
-                int(rec["fixed_index"]),
-                tuple((int(a), int(b)) for a, b in rec["cells"]),
-                np.array([_from_pairs(row) for row in rec["amplitudes"]]),
-                tuple(int(k) for k in rec["state_indices"]),
-            )
-            for rec in doc["tiles"]
-        )
+        # Tile converts cells and state indices to int itself.
+        tiles = tuple(Tile(rec["orientation"], int(rec["fixed_index"]), rec["cells"],
+                           np.array([_from_pairs(row) for row in rec["amplitudes"]]), rec["state_indices"])
+                      for rec in doc["tiles"])
         layout = DominoLayout(n, tiles)
-        states = tuple(
-            ProductState(int(rec["index"]), Ket(_from_pairs(rec["ket_a"])), Ket(_from_pairs(rec["ket_b"])))
-            for rec in sorted(doc["states"], key=lambda r: int(r["index"]))
-        )
+        # Ket's test in one pass (a nonfinite entry makes norm^2 nan or inf);
+        # Ket raises its own message for the first failing part.
+        recs = sorted(doc["states"], key=lambda r: int(r["index"]))
+        parts = [_from_pairs(rec[key]) for rec in recs for key in ("ket_a", "ket_b")]
+        for p in parts:
+            if len(p) < 2 or not abs(np.vdot(p, p).real - 1.0) <= ATOL_EXACT:
+                Ket(p)
+        kets = iter([_checked(p) for p in parts])
+        states = tuple(ProductState(int(rec["index"]), a, b) for rec, a, b in zip(recs, kets, kets))
     except UnsupportedDimensionError:
         raise
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

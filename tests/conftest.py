@@ -6,11 +6,14 @@ The enumerator below deliberately avoids the library's analysis code: it
 walks the full outcome tree with explicit joint-space vectors, so it can
 serve as an oracle for the closed-form and formula-based paths. The scalar
 reference after it repeats the library's exact intercept sum one state and
-one basis at a time, so the batched sum can be held to its bytes.
+one basis at a time, so the batched sum can be held to its bytes. The
+reference writer builds a set file with `json.dumps`, so the library's
+writer can be held to the same bytes.
 """
 from __future__ import annotations
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -123,6 +126,33 @@ def intercept_contributions_by_scalar_rows(state_set) -> list[float]:
             w * w * math.fsum(p * p for p in born_probabilities(st.ket_b, basis))
             for w, basis in zip(weights, bases) if w))
     return contributions
+
+
+def reference_stateset_text(state_set) -> str:
+    """The set file of a state set as `json.dumps(doc, indent=2)` writes it,
+    from a document of plain lists, ints and floats."""
+    def pairs(arr):
+        return [[float(z.real), float(z.imag)] for z in arr]
+
+    doc = {
+        "format": "opqkd-stateset-1",
+        "n": state_set.n,
+        "states": [
+            {"index": st.index, "ket_a": pairs(st.ket_a.amps), "ket_b": pairs(st.ket_b.amps)}
+            for st in state_set
+        ],
+        "tiles": [
+            {
+                "orientation": t.orientation,
+                "fixed_index": t.fixed_index,
+                "cells": [list(c) for c in t.cells],
+                "state_indices": list(t.state_indices),
+                "amplitudes": [pairs(row) for row in t.amplitudes],
+            }
+            for t in state_set.layout.tiles
+        ],
+    }
+    return json.dumps(doc, indent=2) + "\n"
 
 
 def layout_from_cellsets(n, cellsets, rows=None, cols=None, amplitudes=np.eye):

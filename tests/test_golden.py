@@ -8,7 +8,10 @@ import contextlib
 import hashlib
 import io
 
-from opqkd import build_symmetric, monte_carlo_estimate
+import numpy as np
+
+from conftest import set_from_cellsets
+from opqkd import SetParameters, build_3x3, build_symmetric, monte_carlo_estimate, stateset_to_text
 from opqkd.cli import main
 from opqkd.protocol import CHUNK_ROUNDS
 
@@ -375,3 +378,32 @@ def test_exported_set_files_match_golden(tmp_path):
         main(["validate", *argv, "--output", str(tmp_path / "report"), "--export", str(path)])
         got[name] = _digest(path.read_bytes())
     assert got == GOLDEN_EXPORTS
+
+
+def relabelled_ring_8():
+    """The family's ring tiling at n = 8 with seeded row and column
+    relabellings and discrete-Fourier amplitudes, like the tilings
+    `set-design` writes."""
+    rng = np.random.default_rng(19)
+    cellsets = [t.cells for t in build_symmetric(8).layout.tiles]
+    return set_from_cellsets(8, cellsets, rng.permutation(8), rng.permutation(8))
+
+
+# Set files of sets outside the family, written by `stateset_to_text`: a
+# relabelled ring tiling, and a 3x3 set with a negative zero and a subnormal
+# amplitude, whose repr floats must keep their sign and every digit.
+TEXT_CASES = {
+    "text-relabelled-ring-8": relabelled_ring_8,
+    "text-signed-zero-subnormal": lambda: build_3x3(SetParameters(1, 0, 1, -0.0, 1, 0, 1, 5e-324)),
+}
+GOLDEN_TEXTS: dict[str, str] = {
+    "text-relabelled-ring-8":
+        "2ba50f9c9dbf59f455313973fe9c9a78976859e856bc5620f1b5994c0156d88a",
+    "text-signed-zero-subnormal":
+        "3d9e99f88454c6fbcf534ae2fe9f71800813029a3d011ec6a00c500c4675f26e",
+}
+
+
+def test_set_texts_match_golden():
+    got = {name: _digest(stateset_to_text(build()).encode("utf-8")) for name, build in TEXT_CASES.items()}
+    assert got == GOLDEN_TEXTS

@@ -5,7 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as hst
 
-from conftest import random_parameters, random_tiling, relabelled_quarter_turn_by_enumeration
+from conftest import (
+    random_parameters,
+    random_tiling,
+    random_unit_pair,
+    reference_stateset_text,
+    relabelled_quarter_turn_by_enumeration,
+    set_from_cellsets,
+)
 from opqkd import (
     DominoLayout,
     InvalidSetError,
@@ -134,6 +141,25 @@ def test_tile_validation():
         Tile("singleton", 1, ((0, 0),), np.eye(1), (0,))
     with pytest.raises(ValueError):
         Tile("row", 0, ((0, 0), (0, 0)), h, (0, 1))  # repeated cell
+
+
+def test_tile_stores_a_numpy_integer_fixed_index_as_int():
+    # A set built from such tiles must still serialize: json cannot write an
+    # np.int64, and the writer's "%d" takes whatever the tile holds.
+    s = build_3x3()
+    tiles = tuple(Tile(t.orientation, np.int64(t.fixed_index), t.cells, t.amplitudes, t.state_indices)
+                  for t in s.layout.tiles)
+    assert all(type(t.fixed_index) is int for t in tiles)
+    rebuilt = StateSet(states_from_tiles(3, tiles), DominoLayout(3, tiles))
+    assert stateset_to_text(rebuilt) == stateset_to_text(s) == reference_stateset_text(rebuilt)
+
+
+@pytest.mark.parametrize("fixed", [1.0, np.float64(1.0), "1", None])
+def test_tile_refuses_a_fixed_index_that_is_not_an_integer(fixed):
+    # 1.0 would pass the cell check and then fail as a raw IndexError when
+    # the states are scattered, or print as 1 in a set file.
+    with pytest.raises(ValueError, match="fixed_index must be an integer"):
+        Tile("row", fixed, ((1, 1), (1, 0)), np.eye(2), (0, 1))
 
 
 def test_layout_validation():
@@ -332,6 +358,116 @@ def test_serialization_malformed_fields_raise_invalid_set(corrupt):
     corrupt(doc)
     with pytest.raises(InvalidSetError):
         stateset_from_text(json.dumps(doc))
+
+
+# Components that must keep their sign and every digit in a set file:
+# signed zeros, the smallest subnormal, and tiny normal numbers.
+_TINY = (0.0, -0.0, 5e-324, -5e-324, 1e-300, -2.2250738585072014e-308)
+
+
+@hst.composite
+def unit_pairs(draw):
+    """(x, y) with |x|^2 + |y|^2 = 1: a random pair, or a unit x on an axis
+    beside a y whose components are signed zeros or subnormal."""
+    if draw(hst.booleans()):
+        return random_unit_pair(np.random.default_rng(draw(hst.integers(0, 2**32 - 1))))
+    unit = draw(hst.sampled_from((1.0, -1.0)))
+    tiny = draw(hst.sampled_from(_TINY))
+    x = complex(unit, tiny) if draw(hst.booleans()) else complex(tiny, unit)
+    y = complex(draw(hst.sampled_from(_TINY)), draw(hst.sampled_from(_TINY)))
+    return (x, y) if draw(hst.booleans()) else (y, x)
+
+
+@settings(max_examples=300, deadline=None)
+@given(hst.lists(unit_pairs(), min_size=4, max_size=4))
+def test_set_text_is_the_json_dumps_text_on_3x3_sets(pairs):
+    s = build_3x3(SetParameters(*(z for pair in pairs for z in pair)))
+    assert stateset_to_text(s) == reference_stateset_text(s)
+
+
+@pytest.mark.parametrize("n", range(3, 17))
+def test_set_text_is_the_json_dumps_text_on_the_family(n):
+    s = build_symmetric(n)
+    assert stateset_to_text(s) == reference_stateset_text(s)
+
+
+@settings(max_examples=60, deadline=None)
+@given(hst.sampled_from(["random", "quarter", "transpose", "singletons", "three-cycle"]),
+       hst.integers(3, 7), hst.integers(0, 2**32 - 1))
+def test_set_text_is_the_json_dumps_text_on_random_tilings(kind, n, seed):
+    rng = np.random.default_rng(seed)
+    layout = random_tiling(rng, n, kind)
+    s = set_from_cellsets(n, [t.cells for t in layout.tiles])
+    assert stateset_to_text(s) == reference_stateset_text(s)
+
+
+def _set_doc_with(change):
+    doc = json.loads(stateset_to_text(build_symmetric(3)))
+    change(doc["states"])
+    return json.dumps(doc)
+
+
+def _scaled(label, key, norm_sq):
+    def change(states):
+        states[label][key] = [[re * math.sqrt(norm_sq), im * math.sqrt(norm_sq)]
+                              for re, im in states[label][key]]
+    return change
+
+
+def _entry(label, key, k, value):
+    def change(states):
+        states[label][key][k][0] = value
+    return change
+
+
+def _resized(label, key, size):
+    def change(states):
+        states[label][key] = (states[label][key] + [[0.0, 0.0]] * size)[:size]
+    return change
+
+
+def _both(first, second):
+    return lambda states: (first(states), second(states))
+
+
+_NOT_NORMALIZED = "malformed state-set document: ValueError('ket is not normalized (norm^2 = {})')"
+_NOT_FINITE = "malformed state-set document: ValueError('ket amplitudes must be finite')"
+_TOO_SHORT = "malformed state-set document: ValueError('a ket needs a one-dimensional vector of length >= 2')"
+
+
+# Each message is the one the reader gave when it built one checked Ket per
+# part, so the one-pass check fails exactly as Ket does.
+@pytest.mark.parametrize("change, message", [
+    (_scaled(4, "ket_b", 1 + 2e-10), _NOT_NORMALIZED.format("1.0000000001999998")),
+    (_scaled(4, "ket_a", 1 - 2e-10), _NOT_NORMALIZED.format("0.9999999998")),
+    (_entry(2, "ket_b", 1, float("nan")), _NOT_FINITE),
+    (_entry(6, "ket_a", 0, float("inf")), _NOT_FINITE),
+    (_entry(6, "ket_a", 1, 1e200), _NOT_NORMALIZED.format("inf")),
+    (_resized(1, "ket_b", 1), _TOO_SHORT),
+    (_resized(1, "ket_b", 0), _TOO_SHORT),
+    (_both(_entry(5, "ket_b", 0, float("nan")), _resized(3, "ket_a", 1)), _TOO_SHORT),
+    (_both(_entry(3, "ket_b", 0, float("nan")), _resized(3, "ket_a", 1)), _TOO_SHORT),
+    (_both(_resized(3, "ket_b", 1), _entry(3, "ket_a", 0, float("nan"))), _NOT_FINITE),
+    (_resized(7, "ket_a", 4), "subsystem dimension must match the layout"),
+    (lambda states: states[7].update(ket_a=[[0.0, 1.0], [0.0, 0.0]]),
+     "subsystem dimension must match the layout"),
+    (_entry(3, "ket_a", 1, "0.5"),
+     'malformed state-set document: TypeError("complex() can\'t take second arg if first is a string")'),
+    (_entry(5, "ket_b", 2, None),
+     "malformed state-set document: TypeError(\"complex() first argument must be a string or a number, "
+     "not 'NoneType'\")"),
+], ids=["norm-high", "norm-low", "nan", "inf", "overflow", "length-1", "empty", "first-of-two",
+        "a-before-b", "b-after-a", "longer", "shorter", "string", "null"])
+def test_set_file_parts_fail_as_ket_does(change, message):
+    with pytest.raises(InvalidSetError) as info:
+        stateset_from_text(_set_doc_with(change))
+    assert str(info.value) == message
+
+
+def test_set_file_part_just_inside_the_norm_tolerance_is_accepted():
+    text = _set_doc_with(_scaled(4, "ket_b", 1 + 0.9 * qcore.ATOL_EXACT))
+    back = stateset_from_text(text)
+    assert abs(np.vdot(back[4].ket_b.amps, back[4].ket_b.amps).real - 1.0) <= qcore.ATOL_EXACT
 
 
 @pytest.mark.parametrize("n", [3, 4, 9])
