@@ -125,13 +125,13 @@ def _conditional_bases(state_set: StateSet, outcomes: Sequence[int]) -> tuple[Me
 class EveStrategy:
     """Honest channel: forwards both particles untouched and records nothing.
 
-    A strategy acts through the per-leg hooks, one round at a time. A class
-    may also define `_kernel`, the same strategy over a chunk of rounds as
+    A strategy plays rounds through `_kernel`, over a chunk of rounds as
     columns: given the session's set, it returns a step that maps Alice's
     labels and the rounds' draws (taken in the order the hooks take them)
-    to `Columns`, and the map from a forwarded key to the kets Bob gets.
-    Sessions use the kernel only when the strategy's own class defines
-    one, so a subclass that overrides the hooks runs through them."""
+    to `Columns`, and the kets it may forward to Bob. Sessions and
+    estimates run only the kernel the strategy's own class defines. The
+    per-leg hooks play one round through `run_round`, the one-round
+    reference the tests compare the kernels against."""
 
     name = "none"
     variant = "none"

@@ -27,8 +27,8 @@ from .adversary import (
 )
 from .analysis import dimension_sweep, exact_treatment, exact_undetected_prob
 from .errors import InvalidSetError, UnsupportedDimensionError
-from .protocol import CHUNK_ROUNDS, ProtocolConfig, run_session, summarize_session
-from .qcore import MeasurementBasis, RngStream, born_probabilities, key_word, tensor
+from .protocol import CHUNK_ROUNDS, ProtocolConfig, _one_lane, run_session, summarize_session
+from .qcore import Ket, MeasurementBasis, RngStream, born_probabilities, joint_amps, key_word
 from .stateset import (
     MEMORY_BUDGET_BYTES,
     SetParameters,
@@ -326,9 +326,9 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _format_ket(ket) -> str:
+def _format_ket(amps: np.ndarray) -> str:
     terms = []
-    for k, z in enumerate(ket.amps):
+    for k, z in enumerate(amps):
         if abs(z) <= 1e-12:
             continue
         terms.append(f"({z.real:+.4f}{z.imag:+.4f}j)|{k}>")
@@ -341,31 +341,28 @@ def cmd_demo(args) -> int:
     state_set = build_3x3()
     out("balanced 3x3 set: nine orthogonal two-particle product states\n")
     for st in state_set:
-        out(f"  state {st.index}:  A = {_format_ket(st.ket_a)}   B = {_format_ket(st.ket_b)}\n")
+        out(f"  state {st.index}:  A = {_format_ket(st.ket_a.amps)}   B = {_format_ket(st.ket_b.amps)}\n")
 
     label = 2
     prepared = state_set[label]
     out(f"\none intercept-resend round, prepared label {label} (seed {seed})\n")
-    strategy = ConditionalInterceptResend(state_set)
-    rng = RngStream(seed, 0)
-    rnd = strategy.begin_round(0)
+    # The kernel's step on one lane, drawing from round 0's stream as the hooks would.
+    step, (kets_a, kets_b) = ConditionalInterceptResend(state_set)._kernel(state_set)
+    (a,), (b,), (guess,), ((key_a,), (key_b,)) = step(np.array([label]), _one_lane(RngStream(seed, 0)))
 
     probs_a = born_probabilities(prepared.ket_a, MeasurementBasis.computational(state_set.n))
     dist = ", ".join(f"P({m})={p:.4f}" for m, p in enumerate(probs_a) if p > 1e-12)
     out(f"  leg 1: attacker measures A in the computational basis: {dist}\n")
-    forwarded_a = strategy.first_leg(rnd, prepared.ket_a, rng)
-    out(f"  leg 1: outcome {rnd.a_outcome}, forwards {_format_ket(forwarded_a)}\n")
+    out(f"  leg 1: outcome {a}, forwards {_format_ket(kets_a[key_a])}\n")
 
-    basis = conditional_b_basis(state_set, rnd.a_outcome)
-    out(f"  leg 2: basis matched to outcome {rnd.a_outcome}:\n")
+    basis = conditional_b_basis(state_set, a)
+    out(f"  leg 2: basis matched to outcome {a}:\n")
     for v in basis.vectors:
-        out(f"         {_format_ket(v)}\n")
-    forwarded_b = strategy.second_leg(rnd, prepared.ket_b, rng)
-    out(f"  leg 2: outcome {rnd.b_outcome}, forwards {_format_ket(forwarded_b)}\n")
-    out(f"  attacker guesses label {rnd.inferred}\n")
+        out(f"         {_format_ket(v.amps)}\n")
+    out(f"  leg 2: outcome {b}, forwards {_format_ket(kets_b[key_b])}\n")
+    out(f"  attacker guesses label {guess}\n")
 
-    joint = tensor(forwarded_a, forwarded_b)
-    probs = born_probabilities(joint, bob_basis(state_set))
+    probs = born_probabilities(Ket(joint_amps(kets_a[key_a], kets_b[key_b])), bob_basis(state_set))
     dist = ", ".join(f"P({i})={p:.4f}" for i, p in enumerate(probs) if p > 1e-12)
     out(f"  receiver's joint measurement: {dist}\n")
     exact = exact_undetected_prob(state_set, "intercept")

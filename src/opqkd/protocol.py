@@ -23,7 +23,7 @@ from .qcore import (
     projective_measure,
     tensor,
 )
-from .stateset import StateSet, bob_basis, bob_table
+from .stateset import StateSet, bob_table
 
 # Stream id reserved for the check-subset draw; round ids stay far below it.
 CHECK_STREAM_ID = 2**64 - 1
@@ -116,8 +116,10 @@ def run_round(
     round_id: int,
     rng: RngStream,
 ) -> tuple[int, int, EveRecord]:
-    """One protocol round under a channel strategy; returns Alice's label,
-    Bob's measured label, and what the channel recorded."""
+    """One protocol round through the strategy's per-leg hooks; returns
+    Alice's label, Bob's measured label, and what the channel recorded.
+    It is the one-round reference the tests compare the kernels against;
+    sessions and estimates never call it."""
     alice = rng.integers(len(state_set))
     prepared = state_set[alice]
     rnd = strategy.begin_round(round_id)
@@ -125,11 +127,6 @@ def run_round(
     ket_b = strategy.second_leg(rnd, prepared.ket_b, rng)
     bob, _ = projective_measure(tensor(ket_a, ket_b), joint_basis, rng)
     return alice, bob, strategy.finish_round(rnd)
-
-
-def _round_row(alice: int, bob: int, eve: EveRecord) -> list[int]:
-    outcomes = (eve.a_outcome, eve.b_outcome, eve.inferred_state)
-    return [alice, bob, *(-1 if v is None else v for v in outcomes)]
 
 
 def _one_lane(rng: RngStream) -> SimpleNamespace:
@@ -160,22 +157,17 @@ def round_columns(
     B outcomes and the inferred label (-1 where the channel recorded
     nothing), in round order.
 
-    Round r draws only from the stream (seed, r). A strategy whose own class
-    defines a kernel runs it over the chunk, and each lane whose draws the
-    chunk cannot be sure of runs through the same kernel and tables again,
-    alone, on its own RngStream; any other strategy plays every round
-    through `run_round`, in order."""
-    chunks = (range(start, min(start + CHUNK_ROUNDS, rounds))
-              for start in range(0, rounds, CHUNK_ROUNDS))
+    Round r draws only from the stream (seed, r). Sessions and estimates run
+    only the kernel the strategy's own class defines, over each chunk; each
+    lane whose draws the chunk cannot be sure of runs through the same
+    kernel and tables again, alone, on its own RngStream. A class without a
+    `_kernel` of its own raises TypeError, rather than run its parent's."""
     if "_kernel" not in vars(type(strategy)):
-        joint_basis = bob_basis(state_set)
-        for ids in chunks:
-            yield np.array([_round_row(*run_round(
-                state_set, joint_basis, strategy, r, RngStream(seed, r))) for r in ids]).T
-        return
+        raise TypeError(f"{type(strategy).__name__} defines no _kernel of its own")
     step, forwarded = strategy._kernel(state_set)
     bob = bob_table(state_set, *forwarded)
-    for ids in chunks:
+    for start in range(0, rounds, CHUNK_ROUNDS):
+        ids = range(start, min(start + CHUNK_ROUNDS, rounds))
         draws = StreamBlocks(philox_block(seed, np.array(ids)))
         columns = _kernel_columns(len(state_set), step, bob, draws)
         for lane in np.flatnonzero(draws.unsure).tolist():

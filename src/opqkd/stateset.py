@@ -35,10 +35,10 @@ _SQRT_HALF = 1.0 / math.sqrt(2.0)
 # per n^4 as floats and 16 as complex numbers: the Born tables' cached
 # factors (a float table for each side whose kets are the set's states,
 # three at most, under the substitute attack) and, once a lane is flagged,
-# the joint matrix and each table's conjugate of it (three complex). With
-# one chunk's rows, 8 * 8192 * n^2 bytes, that is at most 88 bytes per n^4
-# at n = 64 (measured there: 765 MiB, and 1531 MiB with lanes forced to
-# flag). The budget would allow n <= 70; the ceiling stays at 64 until the
+# the joint matrix and the set's one conjugate of it, in `bob_basis`. With
+# one chunk's rows, 8 * 8192 * n^2 bytes, that is at most 72 bytes per n^4
+# at n = 64 (measured there: 759 MiB; 1271 MiB when joint rows are used).
+# The budget would allow n <= 75; the ceiling stays at 64 until the
 # relabelled symmetry search of `validate --set-file` is bounded there.
 MEMORY_BUDGET_BYTES = 2 * 2**30
 MAX_DIM = 64
@@ -117,7 +117,7 @@ class Tile:
             object.__setattr__(self, "fixed_index", operator.index(self.fixed_index))
         except TypeError as exc:
             raise ValueError(f"tile fixed_index must be an integer: {exc}") from None
-        cells = tuple((int(a), int(b)) for a, b in self.cells)
+        cells = tuple((operator.index(a), operator.index(b)) for a, b in self.cells)
         object.__setattr__(self, "cells", cells)
         if len(set(cells)) != len(cells):
             raise ValueError("tile cells must be distinct")
@@ -144,7 +144,7 @@ class Tile:
             raise ValueError("tile amplitude matrix must be unitary")
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
-        indices = tuple(int(k) for k in self.state_indices)
+        indices = tuple(operator.index(k) for k in self.state_indices)
         object.__setattr__(self, "state_indices", indices)
         if len(indices) != length or len(set(indices)) != length:
             raise ValueError("tile must host exactly one state label per cell")
@@ -237,7 +237,7 @@ class StateSet:
     amps_a and amps_b stack the states' single-particle kets, one row per
     state; the n^2 x n^2 `joint_matrix` is built on first use."""
 
-    __slots__ = ("states", "layout", "amps_a", "amps_b", "_joint")
+    __slots__ = ("states", "layout", "amps_a", "amps_b", "_joint", "_bob")
 
     def __init__(self, states: Sequence[ProductState], layout: DominoLayout):
         states = tuple(states)
@@ -268,6 +268,7 @@ class StateSet:
         object.__setattr__(self, "amps_a", amps_a)
         object.__setattr__(self, "amps_b", amps_b)
         object.__setattr__(self, "_joint", None)
+        object.__setattr__(self, "_bob", None)
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError("StateSet is immutable")
@@ -584,23 +585,20 @@ def is_four_fold_symmetric(layout: DominoLayout) -> bool:
 
 def bob_basis(state_set: StateSet) -> MeasurementBasis:
     """The joint measurement that identifies every state in the set: the
-    joint matrix, whose Gram matrix StateSet checked, wrapped as it is."""
-    return MeasurementBasis._checked(state_set.joint_matrix)
+    joint matrix, whose Gram matrix StateSet checked, wrapped once per set."""
+    if state_set._bob is None:
+        object.__setattr__(state_set, "_bob", MeasurementBasis._checked(state_set.joint_matrix))
+    return state_set._bob
 
 
 def bob_table(state_set: StateSet, kets_a: np.ndarray, kets_b: np.ndarray) -> ProductBornTable:
     """The measurement `bob_basis` makes, as a table over the product states
     kets_a[i] (x) kets_b[k]. Rows come from the product structure. A lane
-    too close to call is measured on its joint row, from the validated
-    joint matrix, whose conjugate holds the same numbers as
-    bob_basis(state_set) would; it is conjugated on the first such lane."""
-    conj = None
+    too close to call is measured on its joint row, with the conjugate of
+    bob_basis(state_set), which the set forms on its first such lane."""
 
     def joint(i: int, k: int) -> np.ndarray:
-        nonlocal conj
-        if conj is None:
-            conj = state_set.joint_matrix.conj()
-        return born_rows(conj, joint_amps(kets_a[i], kets_b[k]))
+        return born_rows(bob_basis(state_set)._conj_matrix, joint_amps(kets_a[i], kets_b[k]))
 
     return ProductBornTable(state_set.amps_a, state_set.amps_b, kets_a, kets_b, joint)
 
@@ -658,21 +656,22 @@ def stateset_from_text(text: str) -> StateSet:
     if not isinstance(doc, dict) or doc.get("format") != _FORMAT_TAG:
         raise InvalidSetError("not a recognized state-set document")
     try:
-        n = check_dim("set-file n", int(doc["n"]))
-        # Tile converts cells and state indices to int itself.
-        tiles = tuple(Tile(rec["orientation"], int(rec["fixed_index"]), rec["cells"],
+        # Counts and labels are JSON integers: operator.index refuses 3.9 and "3".
+        n = check_dim("set-file n", operator.index(doc["n"]))
+        tiles = tuple(Tile(rec["orientation"], rec["fixed_index"], rec["cells"],
                            np.array([_from_pairs(row) for row in rec["amplitudes"]]), rec["state_indices"])
                       for rec in doc["tiles"])
         layout = DominoLayout(n, tiles)
         # Ket's test in one pass (a nonfinite entry makes norm^2 nan or inf);
         # Ket raises its own message for the first failing part.
-        recs = sorted(doc["states"], key=lambda r: int(r["index"]))
+        recs = sorted(doc["states"], key=lambda r: operator.index(r["index"]))
         parts = [_from_pairs(rec[key]) for rec in recs for key in ("ket_a", "ket_b")]
         for p in parts:
             if len(p) < 2 or not abs(np.vdot(p, p).real - 1.0) <= ATOL_EXACT:
                 Ket(p)
         kets = iter([_checked(p) for p in parts])
-        states = tuple(ProductState(int(rec["index"]), a, b) for rec, a, b in zip(recs, kets, kets))
+        states = tuple(ProductState(operator.index(rec["index"]), a, b)
+                       for rec, a, b in zip(recs, kets, kets))
     except UnsupportedDimensionError:
         raise
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

@@ -14,10 +14,18 @@ from hypothesis import HealthCheck, example, given, settings, strategies as hst
 
 from conftest import set_from_cellsets
 from opqkd import build_3x3, build_symmetric, cli, p3_formula, stateset_from_text, stateset_to_text
-from opqkd.adversary import ATTACK_NAMES, STRATEGY_NAMES
+from opqkd.adversary import (
+    ATTACK_NAMES,
+    STRATEGY_NAMES,
+    ConditionalInterceptResend,
+    EveStrategy,
+    conditional_b_basis,
+)
+from opqkd.analysis import exact_undetected_prob
 from opqkd.cli import SEED_ENV_VAR, main
 from opqkd.errors import InvalidSetError, UnsupportedDimensionError
-from opqkd.stateset import MAX_DIM, SetParameters
+from opqkd.qcore import MeasurementBasis, RngStream, born_probabilities, tensor
+from opqkd.stateset import MAX_DIM, SetParameters, bob_basis
 
 DEGENERATE = "1,0,1,0,1,0,1,0"
 SKEWED = "1,0,0.9486832980505138,0.31622776601683794,1,0,1,0"
@@ -177,6 +185,40 @@ def test_set_file_beyond_dimension_ceiling_is_refused(tmp_path, command):
     lines = err.getvalue().splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"error: set-file n {MAX_DIM + 1} exceeds")
     assert out.getvalue() == ""
+
+
+def _shift(cells, da, db):
+    return [[a + da, b + db] for a, b in cells]
+
+
+# Set-file edits that put a number other than a JSON integer where a count
+# or a label belongs; int() would round each of them back to the plain set.
+_FRACTIONAL = {
+    "n": lambda doc: doc.update(n=3.9),
+    "n-text": lambda doc: doc.update(n="3"),
+    "cells": lambda doc: doc["tiles"][0].update(cells=_shift(doc["tiles"][0]["cells"], 0.5, 0.25)),
+    "fixed-index": lambda doc: doc["tiles"][0].update(fixed_index=doc["tiles"][0]["fixed_index"] + 0.5),
+    "state-indices": lambda doc: doc["tiles"][1].update(
+        state_indices=[k + 0.5 for k in doc["tiles"][1]["state_indices"]]),
+    "index": lambda doc: doc["states"][0].update(index=0.7),
+}
+
+
+@pytest.mark.parametrize("edits", [[name] for name in _FRACTIONAL]
+                         + [["n", "cells", "fixed-index", "index"]], ids=[*_FRACTIONAL, "together"])
+def test_set_file_counts_and_labels_must_be_integers(tmp_path, edits):
+    doc = json.loads(stateset_to_text(build_3x3()))
+    for name in edits:
+        _FRACTIONAL[name](doc)
+    text = json.dumps(doc)
+    with pytest.raises(InvalidSetError):
+        stateset_from_text(text)
+    path = tmp_path / "fractional.json"
+    path.write_text(text, encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        assert main(["validate", "--set-file", str(path)]) == 1
+    assert "verdict = fail" in out.getvalue() and err.getvalue() == ""
 
 
 _SET_DOC = json.loads(stateset_to_text(build_symmetric(3)))
@@ -556,6 +598,67 @@ def test_demo_is_deterministic_text():
     assert "prepared label 2" in text
     assert "survives a checked round" in text
     assert "0.777778" in text
+
+
+def _demo_text(seed):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert main(["demo", "--seed", str(seed)]) == 0
+    return buf.getvalue()
+
+
+def _hooks_demo_text(seed):
+    # the demo's narration, built from the per-leg hooks on round 0's stream
+    s = build_3x3()
+
+    def ket(amps):
+        return " + ".join(f"({z.real:+.4f}{z.imag:+.4f}j)|{k}>" for k, z in enumerate(amps) if abs(z) > 1e-12)
+
+    def dist(probs):
+        return ", ".join(f"P({m})={p:.4f}" for m, p in enumerate(probs) if p > 1e-12)
+
+    prepared, strategy, rng = s[2], ConditionalInterceptResend(s), RngStream(seed, 0)
+    rnd = strategy.begin_round(0)
+    forwarded_a = strategy.first_leg(rnd, prepared.ket_a, rng)
+    forwarded_b = strategy.second_leg(rnd, prepared.ket_b, rng)
+    exact = exact_undetected_prob(s, "intercept").value
+    return "\n".join([
+        "balanced 3x3 set: nine orthogonal two-particle product states",
+        *(f"  state {st.index}:  A = {ket(st.ket_a.amps)}   B = {ket(st.ket_b.amps)}" for st in s),
+        "",
+        f"one intercept-resend round, prepared label 2 (seed {seed})",
+        "  leg 1: attacker measures A in the computational basis: "
+        + dist(born_probabilities(prepared.ket_a, MeasurementBasis.computational(3))),
+        f"  leg 1: outcome {rnd.a_outcome}, forwards {ket(forwarded_a.amps)}",
+        f"  leg 2: basis matched to outcome {rnd.a_outcome}:",
+        *(f"         {ket(v.amps)}" for v in conditional_b_basis(s, rnd.a_outcome).vectors),
+        f"  leg 2: outcome {rnd.b_outcome}, forwards {ket(forwarded_b.amps)}",
+        f"  attacker guesses label {strategy.finish_round(rnd).inferred_state}",
+        "  receiver's joint measurement: "
+        + dist(born_probabilities(tensor(forwarded_a, forwarded_b), bob_basis(s))),
+        f"  averaged over everything, this attack survives a checked round with probability {exact:.6f}",
+        ""])
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=hst.integers(0, 2**64 - 1))
+@example(seed=0)
+@example(seed=5)
+@example(seed=2**64 - 1)
+def test_demo_narrates_the_round_the_hooks_play(seed):
+    assert _demo_text(seed) == _hooks_demo_text(seed)
+
+
+def test_demo_plays_its_round_without_the_hooks(monkeypatch):
+    calls = []
+    for hook in ("begin_round", "first_leg", "second_leg", "finish_round"):
+        real = getattr(EveStrategy, hook)
+        monkeypatch.setattr(EveStrategy, hook,
+                            lambda *args, _hook=hook, _real=real: calls.append(_hook) or _real(*args))
+    _demo_text(3)
+    assert calls == []
+    _hooks_demo_text(3)  # the spies do see a round played through the hooks
+    assert calls == ["begin_round", "first_leg", "second_leg", "finish_round"]
 
 
 def test_simulate_set_file_round_trip(tmp_path):

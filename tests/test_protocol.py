@@ -1,8 +1,11 @@
+import ast
 import contextlib
 import dataclasses
+import hashlib
 import io
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,7 +30,7 @@ from opqkd import (
     wilson_interval,
 )
 from opqkd import adversary, analysis, cli, protocol, qcore, stateset
-from opqkd.adversary import STRATEGY_NAMES
+from opqkd.adversary import STRATEGIES, STRATEGY_NAMES
 from opqkd.protocol import round_columns
 from opqkd.qcore import StreamBlocks, philox_block
 
@@ -131,12 +134,45 @@ def test_leg_order_is_first_then_second():
             return ket_b
 
     s = build_symmetric(3)
-    run_session(ProtocolConfig(s, rounds=30, check_fraction=0.1, seed=2,
-                               strategy=SpyStrategy()))
+    joint, spy = bob_basis(s), SpyStrategy()
+    for round_id in range(30):
+        run_round(s, joint, spy, round_id, RngStream(2, round_id))
     assert len(calls) == 60
     for round_id in range(30):
         assert calls[2 * round_id] == ("first", round_id)
         assert calls[2 * round_id + 1] == ("second", round_id)
+    # sessions run only a kernel the strategy's own class defines: hooks
+    # overridden without one are refused, not replaced by the parent's kernel
+    with pytest.raises(TypeError, match="SpyStrategy"):
+        run_session(ProtocolConfig(s, rounds=30, check_fraction=0.1, seed=2,
+                                   strategy=SpyStrategy()))
+
+
+def test_every_strategy_defines_its_own_kernel():
+    assert all("_kernel" in vars(cls) for cls in STRATEGIES)
+
+
+_HOOKS = {"begin_round", "first_leg", "second_leg", "finish_round"}
+
+
+def test_only_run_round_plays_the_per_leg_hooks():
+    # the hooks are the one-round reference: no other code of the package
+    # names them, so nothing else can play a round through them
+    users = set()
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{where}.{child.name}")
+                continue
+            if (isinstance(child, ast.Attribute) and child.attr in _HOOKS
+                    or isinstance(child, ast.Name) and child.id in _HOOKS):
+                users.add(where)
+            visit(child, where)
+
+    for path in sorted(Path(protocol.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    assert users == {"protocol.run_round"}
 
 
 def test_detection_probability_requires_checked_rounds():
@@ -224,7 +260,6 @@ def _crafted_columns(monkeypatch, state_set, name, seed, rounds, halves):
         patch.setattr(protocol, "philox_block", crafted_block)
         patch.setattr(protocol, "RngStream", spy_stream)
         patch.setattr(protocol, "run_round", counted("run_round", protocol.run_round))
-        patch.setattr(protocol, "bob_basis", counted("bob_basis", protocol.bob_basis))
         patch.setattr(adversary, "bob_basis", counted("bob_basis", adversary.bob_basis))
         patch.setattr(MeasurementBasis, "__init__", spy_basis)
         columns = np.concatenate(list(round_columns(state_set, strategy, seed, rounds)), axis=1)
@@ -271,6 +306,54 @@ def test_forced_replay_builds_no_joint_matrix(monkeypatch):
     _, seen = _crafted_columns(monkeypatch, s, "substitute", 3, 20, {4: (0, 1)})
     assert seen["streams"] == [4]
     assert not touched and max(seen["basis_dims"], default=0) < 41 * 41
+
+
+def _force_flags(monkeypatch):
+    # a guard band wider than any distribution: Bob's tables, and the
+    # substitute attacker's, measure every lane on its joint row
+    monkeypatch.setattr(qcore, "guard_band", lambda n: 2.0)
+
+
+# sha256 of the int64 columns, rounds 0..599 with seed 7, every lane flagged;
+# pinned while each table still formed its own conjugate of the joint matrix
+_FORCED_COLUMNS = {
+    (3, "none"): "3dd172c1bee0222d", (3, "intercept"): "69ea77200a855cb0",
+    (3, "complementary"): "6aad5f86d831dc91", (3, "substitute"): "e3bb0450611e5c06",
+    (5, "none"): "1c65df2e6e6ca3dd", (5, "intercept"): "58b249ed683cdbf4",
+    (5, "complementary"): "887de95d9cf4ecc2", (5, "substitute"): "75002444b3096931",
+    (9, "none"): "f501613f4b43f7cb", (9, "intercept"): "0f37df275f6e0c3f",
+    (9, "complementary"): "da0dc29ee3321a1a", (9, "substitute"): "d05401dd7474fc3b",
+}
+
+
+@pytest.mark.parametrize("n", [3, 5, 9])
+def test_forced_flags_keep_every_outcome(monkeypatch, n):
+    s = build_symmetric(n)
+    plain = {name: next(round_columns(s, make_strategy(name, s), 7, 600)) for name in STRATEGY_NAMES}
+    _force_flags(monkeypatch)
+    for name in STRATEGY_NAMES:
+        (forced,) = round_columns(s, make_strategy(name, s), 7, 600)
+        assert forced.tolist() == plain[name].tolist(), name
+        digest = hashlib.sha256(forced.astype("<i8").tobytes()).hexdigest()
+        assert digest[:16] == _FORCED_COLUMNS[n, name], name
+
+
+def test_forced_flags_form_one_conjugate_per_set(monkeypatch):
+    # the substitute attack's two tables measure flagged lanes with the
+    # conjugate that bob_basis holds for the set, not one copy each
+    s = build_symmetric(5)
+    conjugates = []
+    real_rows = stateset.born_rows
+
+    def spy(conj, amps):
+        conjugates.append(conj)
+        return real_rows(conj, amps)
+
+    _force_flags(monkeypatch)
+    monkeypatch.setattr(stateset, "born_rows", spy)
+    monte_carlo_estimate(s, "substitute", 200, seed=3)
+    assert len(conjugates) == 2 * 200
+    assert all(conj is bob_basis(s)._conj_matrix for conj in conjugates)
 
 
 def test_session_columns_and_records_agree():
