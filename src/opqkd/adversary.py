@@ -215,9 +215,10 @@ class ConditionalInterceptResend(EveStrategy):
         def second_rows(keys):
             # key i * n + m: B_i in the basis matched to m, one product per m
             i, m = np.divmod(keys, n)
+            order, first = _runs(m)
             rows = np.empty((len(keys), n))
-            for o in np.flatnonzero(np.bincount(m, minlength=n)):
-                rows[m == o] = born_rows(self._b_bases[o]._conj_matrix, amps_b[i[m == o]])
+            for run in np.split(order, np.flatnonzero(first)[1:]):
+                rows[run] = born_rows(self._b_bases[m[run[0]]]._conj_matrix, amps_b[i[run]])
             return rows
 
         def step(alice, draws):

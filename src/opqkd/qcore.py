@@ -111,11 +111,12 @@ def _canonical_rows(kets: np.ndarray) -> np.ndarray:
 
 
 def near_identity(rows: np.ndarray, first: int = 0) -> bool:
-    """np.allclose(rows, I[first:first + len(rows)], atol=ATOL_EXACT, rtol=0)
-    for rows of a square identity I, without forming it; `rows` is
-    overwritten."""
-    rows.flat[first :: rows.shape[1] + 1] -= 1.0
-    return bool(np.all(np.abs(rows) <= ATOL_EXACT))
+    """np.allclose(rows, I[first:first + r], atol=ATOL_EXACT, rtol=0) for r
+    rows of a square identity I, or for each of a stack of such blocks,
+    without forming it; `rows` may be overwritten."""
+    flat = rows.reshape(-1, rows.shape[-2] * rows.shape[-1])
+    flat[:, first :: rows.shape[-1] + 1] -= 1.0
+    return bool(np.all(np.abs(flat) <= ATOL_EXACT))
 
 
 def states_equivalent(x: Ket, y: Ket, tol: float = ATOL_STATE) -> bool:

@@ -23,6 +23,7 @@ from .qcore import (
     MeasurementBasis,
     ProductBornTable,
     _checked,
+    _runs,
     born_rows,
     joint_amps,
     near_identity,
@@ -38,6 +39,8 @@ _SQRT_HALF = 1.0 / math.sqrt(2.0)
 # the joint matrix and the set's one conjugate of it, in `bob_basis`. With
 # one chunk's rows, 8 * 8192 * n^2 bytes, that is at most 72 bytes per n^4
 # at n = 64 (measured there: 759 MiB; 1271 MiB when joint rows are used).
+# A set's support groups add n^2 labels and at most 2 n^3 flags; checking
+# it forms at most n^4 one-byte cell flags for a moment.
 # The budget would allow n <= 75; the ceiling stays at 64 until the
 # relabelled symmetry search of `validate --set-file` is bounded there.
 MEMORY_BUDGET_BYTES = 2 * 2**30
@@ -52,6 +55,14 @@ def check_dim(what: str, n: int) -> int:
         raise UnsupportedDimensionError(
             f"{what} {n} exceeds {MAX_DIM}, the largest dimension supported")
     return n
+
+
+def _integer(value) -> int:
+    # A count or a label: operator.index refuses 3.9 and "3"; JSON true would
+    # pass it as 1.
+    if isinstance(value, bool):
+        raise TypeError(f"{value!r} is not an integer")
+    return operator.index(value)
 
 
 def _unit_pair(x: complex, y: complex, names: str) -> None:
@@ -114,10 +125,10 @@ class Tile:
         if self.orientation not in ("row", "col", "singleton"):
             raise ValueError(f"unknown tile orientation {self.orientation!r}")
         try:
-            object.__setattr__(self, "fixed_index", operator.index(self.fixed_index))
+            object.__setattr__(self, "fixed_index", _integer(self.fixed_index))
         except TypeError as exc:
             raise ValueError(f"tile fixed_index must be an integer: {exc}") from None
-        cells = tuple((operator.index(a), operator.index(b)) for a, b in self.cells)
+        cells = tuple((_integer(a), _integer(b)) for a, b in self.cells)
         object.__setattr__(self, "cells", cells)
         if len(set(cells)) != len(cells):
             raise ValueError("tile cells must be distinct")
@@ -144,7 +155,7 @@ class Tile:
             raise ValueError("tile amplitude matrix must be unitary")
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
-        indices = tuple(operator.index(k) for k in self.state_indices)
+        indices = tuple(_integer(k) for k in self.state_indices)
         object.__setattr__(self, "state_indices", indices)
         if len(indices) != length or len(set(indices)) != length:
             raise ValueError("tile must host exactly one state label per cell")
@@ -197,28 +208,20 @@ class ProductState:
         return tensor(self.ket_a, self.ket_b)
 
 
-def _tile_amps(n: int, tiles: Sequence[Tile]) -> tuple[np.ndarray, np.ndarray]:
-    """The A-parts and the B-parts of the states the tiles host, one row per
-    label, read-only. A column tile spreads its A-parts over its rows and
-    fixes B; a row tile or a singleton fixes A at its row and spreads its
+def _tile_amps(n: int, tiles: Sequence[Tile], particle: int) -> np.ndarray:
+    """The parts on particle A (0) or B (1) of the states the tiles host, one
+    row per label, read-only. A column tile spreads its A-parts over its rows
+    and fixes B; a row tile or a singleton fixes A at its row and spreads its
     B-parts over its columns."""
-    labels = [k for tile in tiles for k in tile.state_indices]
-    if sorted(labels) != list(range(n * n)):
-        raise ValueError("hosted state labels must be exactly 0..n^2-1")
-    amps_a = np.zeros((n * n, n), dtype=np.complex128)
-    amps_b = np.zeros((n * n, n), dtype=np.complex128)
+    amps = np.zeros((n * n, n), dtype=np.complex128)
     for tile in tiles:
-        rows = list(tile.state_indices)
-        a, b = zip(*tile.cells)
-        if tile.orientation == "col":
-            amps_a[np.ix_(rows, a)] = tile.amplitudes
-            amps_b[rows, tile.fixed_index] = 1.0
+        lines = [cell[particle] for cell in tile.cells]
+        if (tile.orientation == "col") != particle:
+            amps[np.array(tile.state_indices)[:, None], lines] = tile.amplitudes
         else:
-            amps_a[rows, a[0]] = 1.0
-            amps_b[np.ix_(rows, b)] = tile.amplitudes
-    amps_a.setflags(write=False)
-    amps_b.setflags(write=False)
-    return amps_a, amps_b
+            amps[tile.state_indices, lines[0]] = 1.0
+    amps.setflags(write=False)
+    return amps
 
 
 def states_from_tiles(n: int, tiles: Sequence[Tile]) -> tuple[ProductState, ...]:
@@ -226,18 +229,73 @@ def states_from_tiles(n: int, tiles: Sequence[Tile]) -> tuple[ProductState, ...]
     label order; the labels must be exactly 0..n^2-1. Each `Tile` has checked
     its amplitudes unitary at ATOL_EXACT, so every part is a unit vector and
     is wrapped without checking it again, as `tensor` wraps its product."""
-    amps_a, amps_b = _tile_amps(n, tiles)
+    if sorted(k for tile in tiles for k in tile.state_indices) != list(range(n * n)):
+        raise ValueError("hosted state labels must be exactly 0..n^2-1")
     return tuple(ProductState(i, _checked(a), _checked(b))
-                 for i, (a, b) in enumerate(zip(amps_a, amps_b)))
+                 for i, (a, b) in enumerate(zip(_tile_amps(n, tiles, 0), _tile_amps(n, tiles, 1))))
+
+
+def _support_groups(nonzero: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # The rows grouped by their pattern of nonzero entries, their support:
+    # each row's group, and each group's support.
+    packed = np.packbits(nonzero, axis=1)
+    order, first = _runs(packed.view(np.dtype((np.void, packed.shape[1]))).ravel())
+    group = np.empty(len(nonzero), dtype=np.int64)
+    group[order] = np.cumsum(first) - 1
+    return group, nonzero[order[first]]
+
+
+def _components(cells: np.ndarray) -> np.ndarray:
+    # For each row, the lowest row joined to it through shared columns: each
+    # label falls to the least label of its columns until none falls.
+    row, col = np.nonzero(cells)
+    starts = np.flatnonzero(np.diff(row, prepend=-1))
+    label = np.arange(len(cells))
+    while True:
+        low = np.full(cells.shape[1], len(cells))
+        np.minimum.at(low, col, label[row])
+        new = np.minimum.reduceat(low[col], starts)
+        new = new[new]
+        if np.array_equal(new, label):
+            return label
+        label = new
+
+
+def _joint_gram_ok(amps_a: np.ndarray, amps_b: np.ndarray, supports) -> bool:
+    # <A_i (x) B_i|A_j (x) B_j> = <A_i|A_j> <B_i|B_j> is exactly 0 unless the
+    # grid cells of state i, the product of its parts' supports, meet those of
+    # state j. So the Gram matrix is checked on the components that shared
+    # cells join, components of one size together, at most _GRAM_BLOCK
+    # entries at once: the tiles of a tiling, or all states when they share
+    # one wide support.
+    group, support = supports
+    n = amps_a.shape[1]
+    comp = _components((support[:, :n, None] & support[:, None, n:]).reshape(len(support), -1))[group]
+    size = np.bincount(comp)[comp]
+    order = np.argsort(size * len(comp) + comp, kind="stable")
+    ends = np.flatnonzero(np.diff(size[order], append=0)) + 1
+    for lo, hi in zip(np.append(0, ends[:-1]), ends):
+        k = size[order[lo]]
+        xa, xb = (amps[order[lo:hi].reshape(-1, k)] for amps in (amps_a, amps_b))
+        step = max(1, _GRAM_BLOCK // k)
+        span = max(1, step // k)
+        for c in range(0, len(xa), span):
+            for top in range(0, k, step):
+                gram = xa[c:c + span, top:top + step].conj() @ xa[c:c + span].transpose(0, 2, 1)
+                gram *= xb[c:c + span, top:top + step].conj() @ xb[c:c + span].transpose(0, 2, 1)
+                if not near_identity(gram, top):
+                    return False
+    return True
 
 
 class StateSet:
     """A complete orthogonal set of n^2 product states plus its layout.
 
     amps_a and amps_b stack the states' single-particle kets, one row per
-    state; the n^2 x n^2 `joint_matrix` is built on first use."""
+    state, and _supports groups the states by the supports of both parts;
+    the n^2 x n^2 `joint_matrix` is built on first use."""
 
-    __slots__ = ("states", "layout", "amps_a", "amps_b", "_joint", "_bob")
+    __slots__ = ("states", "layout", "amps_a", "amps_b", "_supports", "_joint", "_bob")
 
     def __init__(self, states: Sequence[ProductState], layout: DominoLayout):
         states = tuple(states)
@@ -249,17 +307,11 @@ class StateSet:
                 raise InvalidSetError("states must be listed in label order")
             if st.ket_a.dim != n or st.ket_b.dim != n:
                 raise InvalidSetError("subsystem dimension must match the layout")
-        # <A_i (x) B_i|A_j (x) B_j> = <A_i|A_j> <B_i|B_j>, so the joint Gram
-        # matrix is the elementwise product of the two single-particle ones.
-        # It is checked a block of rows at a time, never whole.
-        amps_a = np.stack([st.ket_a.amps for st in states])
-        amps_b = np.stack([st.ket_b.amps for st in states])
-        step = max(1, _GRAM_BLOCK // len(states))
-        for first in range(0, len(states), step):
-            gram = amps_a[first:first + step].conj() @ amps_a.T
-            gram *= amps_b[first:first + step].conj() @ amps_b.T
-            if not near_identity(gram, first):
-                raise InvalidSetError("joint states must form a complete orthonormal set")
+        amps_a = np.concatenate([st.ket_a.amps for st in states]).reshape(-1, n)
+        amps_b = np.concatenate([st.ket_b.amps for st in states]).reshape(-1, n)
+        supports = _support_groups(np.concatenate([amps_a != 0, amps_b != 0], axis=1))
+        if not _joint_gram_ok(amps_a, amps_b, supports):
+            raise InvalidSetError("joint states must form a complete orthonormal set")
         self._check_layout_consistency(amps_a, amps_b, layout)
         amps_a.setflags(write=False)
         amps_b.setflags(write=False)
@@ -267,6 +319,7 @@ class StateSet:
         object.__setattr__(self, "layout", layout)
         object.__setattr__(self, "amps_a", amps_a)
         object.__setattr__(self, "amps_b", amps_b)
+        object.__setattr__(self, "_supports", supports)
         object.__setattr__(self, "_joint", None)
         object.__setattr__(self, "_bob", None)
 
@@ -276,8 +329,8 @@ class StateSet:
     @staticmethod
     def _check_layout_consistency(amps_a: np.ndarray, amps_b: np.ndarray, layout: DominoLayout) -> None:
         # Each state's parts must be its tile's up to global phase, row by row.
-        ok = [np.abs(np.abs(np.einsum("ij,ij->i", amps.conj(), tile)) - 1.0) <= ATOL_STATE
-              for amps, tile in zip((amps_a, amps_b), _tile_amps(layout.n, layout.tiles))]
+        ok = [np.abs(np.abs(np.vecdot(amps, _tile_amps(layout.n, layout.tiles, particle))) - 1.0) <= ATOL_STATE
+              for particle, amps in enumerate((amps_a, amps_b))]
         wrong = np.flatnonzero(~(ok[0] & ok[1]))
         if len(wrong):
             raise InvalidSetError(f"state {wrong[0]} does not match its tile")
@@ -409,23 +462,37 @@ class ConditionReport:
         return tuple(sorted(out))
 
 
-def _oblique_partners(amps: np.ndarray) -> tuple[bool, ...]:
-    # |Gram| rows of the kets amps[i], _GRAM_BLOCK / 4 entries at a time, so
-    # the n^2 x n^2 matrix never exists; a diagonal entry is 1, never oblique.
-    out: list[bool] = []
-    step = max(1, _GRAM_BLOCK // 4 // len(amps))
-    for first in range(0, len(amps), step):
-        overlaps = np.abs(amps[first:first + step].conj() @ amps.T)
-        out += np.any((overlaps > ATOL_STATE) & (np.abs(overlaps - 1.0) > ATOL_STATE), axis=1).tolist()
-    return tuple(out)
+def _oblique_partners(amps: np.ndarray, width: np.ndarray) -> tuple[bool, ...]:
+    # Whether each row has a partner neither equivalent nor orthogonal to it.
+    # Rows with the same bytes are equivalent and share one answer. The rows
+    # still open meet the others narrowest support first, _GRAM_BLOCK / 8
+    # |overlaps| at a time, and leave once they have a partner: on a tiling,
+    # a part on one line is oblique to each part spread across that line.
+    order, first = _runs(amps.view(np.dtype((np.void, amps.itemsize * amps.shape[1]))).ravel())
+    found = np.zeros(len(amps), dtype=bool)
+    open_ = order[first]
+    rows = amps[open_]
+    partners = open_[np.argsort(width[open_], kind="stable")]
+    done = 0
+    while len(open_) and done < len(partners):
+        block = partners[done:done + max(1, _GRAM_BLOCK // 8 // len(open_))]
+        overlaps = np.abs(rows @ amps[block].conj().T)
+        hit = np.any((overlaps > ATOL_STATE) & (np.abs(overlaps - 1.0) > ATOL_STATE), axis=1)
+        if hit.any():
+            found[open_[hit]] = True
+            open_, rows = open_[~hit], rows[~hit]
+        done += len(block)
+    found[order] = found[order[first][np.cumsum(first) - 1]]
+    return tuple(found.tolist())
 
 
 def check_conditions(state_set: StateSet) -> ConditionReport:
     """Check that no single-particle measurement can pin down any state:
     every state must have, on each subsystem, a partner that is neither
     equivalent nor orthogonal to it."""
-    ok_a = _oblique_partners(state_set.amps_a)
-    ok_b = _oblique_partners(state_set.amps_b)
+    group, support = state_set._supports
+    width = support.reshape(len(support), 2, -1).sum(axis=2)[group]
+    ok_a, ok_b = (_oblique_partners(amps, w) for amps, w in zip((state_set.amps_a, state_set.amps_b), width.T))
     return ConditionReport(state_set.n, ok_a, ok_b)
 
 
@@ -656,21 +723,20 @@ def stateset_from_text(text: str) -> StateSet:
     if not isinstance(doc, dict) or doc.get("format") != _FORMAT_TAG:
         raise InvalidSetError("not a recognized state-set document")
     try:
-        # Counts and labels are JSON integers: operator.index refuses 3.9 and "3".
-        n = check_dim("set-file n", operator.index(doc["n"]))
+        n = check_dim("set-file n", _integer(doc["n"]))
         tiles = tuple(Tile(rec["orientation"], rec["fixed_index"], rec["cells"],
                            np.array([_from_pairs(row) for row in rec["amplitudes"]]), rec["state_indices"])
                       for rec in doc["tiles"])
         layout = DominoLayout(n, tiles)
         # Ket's test in one pass (a nonfinite entry makes norm^2 nan or inf);
         # Ket raises its own message for the first failing part.
-        recs = sorted(doc["states"], key=lambda r: operator.index(r["index"]))
+        recs = sorted(doc["states"], key=lambda r: _integer(r["index"]))
         parts = [_from_pairs(rec[key]) for rec in recs for key in ("ket_a", "ket_b")]
         for p in parts:
             if len(p) < 2 or not abs(np.vdot(p, p).real - 1.0) <= ATOL_EXACT:
                 Ket(p)
         kets = iter([_checked(p) for p in parts])
-        states = tuple(ProductState(operator.index(rec["index"]), a, b)
+        states = tuple(ProductState(_integer(rec["index"]), a, b)
                        for rec, a, b in zip(recs, kets, kets))
     except UnsupportedDimensionError:
         raise

@@ -8,7 +8,8 @@ serve as an oracle for the closed-form and formula-based paths. The scalar
 reference after it repeats the library's exact intercept sum one state and
 one basis at a time, so the batched sum can be held to its bytes. The
 reference writer builds a set file with `json.dumps`, so the library's
-writer can be held to the same bytes.
+writer can be held to the same bytes. The dense set checks form whole Gram
+matrices, so the checks grouped by support can be held to their verdicts.
 """
 from __future__ import annotations
 
@@ -19,6 +20,7 @@ import math
 import numpy as np
 
 from opqkd import DominoLayout, SetParameters, StateSet, Tile, born_probabilities, states_from_tiles
+from opqkd.qcore import ATOL_EXACT, ATOL_STATE
 from opqkd.adversary import _conditional_bases
 
 
@@ -153,6 +155,22 @@ def reference_stateset_text(state_set) -> str:
         ],
     }
     return json.dumps(doc, indent=2) + "\n"
+
+
+def dense_joint_gram_ok(amps_a, amps_b, supports=None) -> bool:
+    """StateSet's joint Gram check on the whole n^2 x n^2 matrix, the
+    elementwise product of the two single-particle Gram matrices; it takes
+    and ignores the support groups, so it can stand in for the grouped check."""
+    gram = (amps_a.conj() @ amps_a.T) * (amps_b.conj() @ amps_b.T)
+    return bool(np.all(np.abs(gram - np.eye(len(gram))) <= ATOL_EXACT))
+
+
+def dense_oblique_partners(amps) -> tuple[bool, ...]:
+    """check_conditions' verdict for each row of amps, from the whole |Gram|
+    matrix: some row is neither equivalent nor orthogonal to it."""
+    overlaps = np.abs(amps.conj() @ amps.T)
+    oblique = (overlaps > ATOL_STATE) & (np.abs(overlaps - 1.0) > ATOL_STATE)
+    return tuple(np.any(oblique, axis=1).tolist())
 
 
 def layout_from_cellsets(n, cellsets, rows=None, cols=None, amplitudes=np.eye):

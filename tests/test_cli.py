@@ -221,6 +221,34 @@ def test_set_file_counts_and_labels_must_be_integers(tmp_path, edits):
     assert "verdict = fail" in out.getvalue() and err.getvalue() == ""
 
 
+# Set-file edits that put JSON true where a count or a label of 1 belongs:
+# tile 0 is the row tile at row 1 hosting states 0 and 1.
+_BOOLEAN = {
+    "fixed-index": lambda doc: doc["tiles"][0].update(fixed_index=True),
+    "cells": lambda doc: doc["tiles"][0].update(cells=[[True, b] for _, b in doc["tiles"][0]["cells"]]),
+    "state-indices": lambda doc: doc["tiles"][0].update(state_indices=[0, True]),
+    "index": lambda doc: doc["states"][1].update(index=True),
+}
+
+
+@pytest.mark.parametrize("edits", [[name] for name in _BOOLEAN] + [list(_BOOLEAN)],
+                         ids=[*_BOOLEAN, "together"])
+def test_set_file_refuses_booleans_for_counts_and_labels(tmp_path, edits):
+    doc = json.loads(stateset_to_text(build_3x3()))
+    assert doc["tiles"][0]["fixed_index"] == 1 and doc["tiles"][0]["state_indices"] == [0, 1]
+    for name in edits:
+        _BOOLEAN[name](doc)
+    text = json.dumps(doc)
+    with pytest.raises(InvalidSetError):
+        stateset_from_text(text)
+    path = tmp_path / "boolean.json"
+    path.write_text(text, encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        assert main(["validate", "--set-file", str(path)]) == 1
+    assert "verdict = fail" in out.getvalue() and err.getvalue() == ""
+
+
 _SET_DOC = json.loads(stateset_to_text(build_symmetric(3)))
 _DEEP = "@@deep@@"  # replaced by nested arrays once the document is text
 _ODD_VALUES = (None, True, -1, 0, 2.5, "x", [], {}, [[1, 0]], {"n": 3}, 10**30,

@@ -1,11 +1,14 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as hst
 
 from conftest import (
+    dense_joint_gram_ok,
+    dense_oblique_partners,
     random_parameters,
     random_tiling,
     random_unit_pair,
@@ -501,3 +504,166 @@ def test_rotation_inside_a_tile_is_caught_by_the_joint_gram_check():
                                        np.stack([st.ket_b.amps for st in states]), s.layout)
     with pytest.raises(InvalidSetError, match="complete orthonormal set"):
         StateSet(states, s.layout)
+
+
+def _outcome(states, layout):
+    # "ok" when StateSet(states, layout) builds, else what it raised
+    try:
+        StateSet(states, layout)
+    except (InvalidSetError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+    return "ok"
+
+
+def _assert_checks_match_dense(states, layout):
+    # StateSet decides, and words its error, as with the dense joint Gram
+    # check in place of the grouped one; each particle's condition verdicts
+    # are the dense ones, for a valid set through check_conditions too
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stateset, "_joint_gram_ok", dense_joint_gram_ok)
+        dense = _outcome(states, layout)
+    assert _outcome(states, layout) == dense
+    stacks = [np.array([st.ket_a.amps for st in states]), np.array([st.ket_b.amps for st in states])]
+    expected = tuple(dense_oblique_partners(amps) for amps in stacks)
+    assert tuple(stateset._oblique_partners(amps, np.count_nonzero(amps, axis=1)) for amps in stacks) == expected
+    if dense == "ok":
+        report = check_conditions(StateSet(states, layout))
+        assert (report.ok_a, report.ok_b) == expected
+    return dense
+
+
+def _with_parts(states, changes):
+    # the states with those labels given new parts: {label: (a, b)}
+    out = list(states)
+    for i, (a, b) in changes.items():
+        out[i] = ProductState(i, Ket(a), Ket(b))
+    return tuple(out)
+
+
+def _leaked(amps, eps, pick):
+    # each row given eps at one entry off its support, chosen by pick
+    out = amps.copy()
+    for i, row in enumerate(out):
+        row[pick(i, np.flatnonzero(row == 0))] = eps
+        row /= np.linalg.norm(row)
+    return out
+
+
+def _perturbed_sets(s):
+    # The perturbation corpus of a set, as (name, states): states turned
+    # inside their tile towards a partner, states leaked off their tile by
+    # 1e-13 ... 1e-3, and parts or states swapped.
+    amps = (s.amps_a, s.amps_b)
+    tiles = [t for t in s.layout.tiles if len(t) > 1]
+    for t in tiles[:3]:
+        i, j = t.state_indices[:2]
+        spread = int(t.orientation != "col")  # the particle the tile spreads over
+        # a turn of 1e-10 would put the Gram entry on ATOL_EXACT itself,
+        # where its last bit decides, in the dense check as in the grouped one
+        for theta in (1e-12, 1e-8, 1e-5, 0.3):
+            parts = [x[i] for x in amps]
+            parts[spread] = math.cos(theta) * amps[spread][i] + math.sin(theta) * amps[spread][j]
+            yield f"turn {i} by {theta}", _with_parts(s.states, {i: parts})
+    for eps in (1e-13, 1e-11, 1e-10, 1e-9, 1e-7, 1e-5, 1e-3):
+        for i in (0, len(s) // 2, len(s) - 1):
+            for p in (0, 1):
+                parts = [x[i:i + 1] for x in amps]
+                parts[p] = _leaked(parts[p], eps, lambda _, off: off[-1])
+                yield f"leak {i}/{p} by {eps}", _with_parts(s.states, {i: (parts[0][0], parts[1][0])})
+        # every part leaked, each at an entry off its support chosen by its label
+        leaked = [_leaked(x, eps, lambda k, off: off[k % len(off)]) for x in amps]
+        yield f"leak all by {eps}", tuple(ProductState(k, Ket(a), Ket(b)) for k, (a, b) in enumerate(zip(*leaked)))
+    for t in tiles[:2]:
+        i, j = t.state_indices[:2]
+        yield f"swap B {i} {j}", _with_parts(s.states, {i: (amps[0][i], amps[1][j]), j: (amps[0][j], amps[1][i])})
+        yield f"swap A {i} {j}", _with_parts(s.states, {i: (amps[0][j], amps[1][i]), j: (amps[0][i], amps[1][j])})
+    i, j = s.layout.tiles[0].state_indices[0], s.layout.tiles[-1].state_indices[-1]
+    yield f"swap {i} {j}", _with_parts(s.states, {i: (amps[0][j], amps[1][j]), j: (amps[0][i], amps[1][i])})
+    yield f"copy A {j} to {i}", _with_parts(s.states, {i: (amps[0][j], amps[1][i])})
+
+
+def _dft_tiling(seed, n):
+    layout = random_tiling(np.random.default_rng(seed), n, "random")
+    return set_from_cellsets(n, [t.cells for t in layout.tiles])
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: build_symmetric(3), id="family-3"),
+    pytest.param(lambda: build_symmetric(4), id="family-4"),
+    pytest.param(lambda: build_symmetric(5), id="family-5"),
+    pytest.param(lambda: build_symmetric(8), id="family-8"),
+    pytest.param(lambda: build_3x3(random_parameters(np.random.default_rng(7))), id="random-3x3"),
+    pytest.param(lambda: build_3x3(SetParameters(1, 0, 1, 0, 1, 0, 1, 0)), id="degenerate-3x3"),
+    pytest.param(lambda: _dft_tiling(11, 5), id="tiling-5"),
+    pytest.param(lambda: _dft_tiling(12, 6), id="tiling-6"),
+])
+def test_perturbed_sets_are_decided_as_the_dense_checks_decide(build):
+    s = build()
+    seen = {}
+    for name, states in _perturbed_sets(s):
+        outcome = _assert_checks_match_dense(states, s.layout)
+        seen.setdefault(outcome if outcome == "ok" else outcome[1].split()[0], name)
+    # the corpus reaches an accepted set, the Gram check and the tile check
+    assert {"ok", "joint", "state"} <= set(seen)
+
+
+@hst.composite
+def _drawn_states(draw):
+    # (states, layout): the family, a random or degenerate 3 x 3 set, a set
+    # on a random tiling, one turned by a random unitary on each particle (a
+    # dense set, with every part on one wide support), or a member of the
+    # perturbation corpus of one of those
+    kind = draw(hst.sampled_from(("family", "random", "degenerate", "tiling", "rotated", "perturbed")))
+    seed = draw(hst.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        return build_3x3(random_parameters(rng)).states, build_3x3().layout
+    if kind == "degenerate":
+        pairs = [draw(hst.sampled_from(((1, 0), (0, 1), (0.6, 0.8j)))) for _ in range(4)]
+        s = build_3x3(SetParameters(*(z for pair in pairs for z in pair)))
+        return s.states, s.layout
+    s = build_symmetric(draw(hst.integers(3, 9))) if kind == "family" or rng.random() < 0.5 \
+        else _dft_tiling(seed, draw(hst.integers(3, 6)))
+    if kind == "rotated":
+        u, v = (np.linalg.qr(rng.standard_normal((s.n, s.n)) + 1j * rng.standard_normal((s.n, s.n)))[0]
+                for _ in range(2))
+        return tuple(ProductState(i, Ket(a), Ket(b))
+                     for i, (a, b) in enumerate(zip(s.amps_a @ u, s.amps_b @ v))), s.layout
+    if kind == "perturbed":
+        corpus = list(_perturbed_sets(s))
+        return corpus[draw(hst.integers(0, len(corpus) - 1))][1], s.layout
+    return s.states, s.layout
+
+
+@settings(max_examples=150, deadline=None)
+@given(_drawn_states(), hst.integers(1, 48))
+def test_grouped_set_checks_match_the_dense_ones(case, block):
+    # with a few Gram entries formed at a time, in ragged blocks
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stateset, "_GRAM_BLOCK", block)
+        _assert_checks_match_dense(*case)
+
+
+def test_a_set_with_every_part_leaked_off_its_tile_is_decided_as_dense():
+    # each part 1e-13 off its tile at an entry of its own: the supports are
+    # all distinct and wide, and the set is still valid
+    s = build_symmetric(25)
+    leaked = [_leaked(x, 1e-13, lambda k, off: off[(7 * k) % len(off)]) for x in (s.amps_a, s.amps_b)]
+    states = tuple(ProductState(k, Ket(a), Ket(b)) for k, (a, b) in enumerate(zip(*leaked)))
+    assert _assert_checks_match_dense(states, s.layout) == "ok"
+    assert check_conditions(StateSet(states, s.layout)).passed
+
+
+def test_set_checks_at_n_64_form_no_dense_gram_block():
+    # the joint Gram check forms each tile's block and the condition check
+    # the distinct parts still open: 40 and 8 MiB when both were dense
+    s = build_symmetric(64)
+    tracemalloc.start()
+    StateSet(s.states, s.layout)
+    build_peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.reset_peak()
+    check_conditions(s)
+    conditions_peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert build_peak < 16 * 2**20
+    assert conditions_peak < 8 * 2**20
