@@ -39,13 +39,11 @@ _SQRT_HALF = 1.0 / math.sqrt(2.0)
 # the joint matrix and the set's one conjugate of it, in `bob_basis`. With
 # one chunk's rows, 8 * 8192 * n^2 bytes, that is at most 72 bytes per n^4
 # at n = 64 (measured there: 759 MiB; 1271 MiB when joint rows are used).
-# A set's support groups add n^2 labels and at most 2 n^3 flags; checking
-# it forms at most n^4 one-byte cell flags for a moment.
 # The budget would allow n <= 75; the ceiling stays at 64 until the
 # relabelled symmetry search of `validate --set-file` is bounded there.
 MEMORY_BUDGET_BYTES = 2 * 2**30
 MAX_DIM = 64
-# Entries of the joint Gram matrix formed at once when a set is checked.
+# Entries formed at once by each product of a set's checks.
 _GRAM_BLOCK = 2**20
 
 
@@ -208,16 +206,17 @@ class ProductState:
         return tensor(self.ket_a, self.ket_b)
 
 
-def _tile_amps(n: int, tiles: Sequence[Tile], particle: int) -> np.ndarray:
-    """The parts on particle A (0) or B (1) of the states the tiles host, one
-    row per label, read-only. A column tile spreads its A-parts over its rows
-    and fixes B; a row tile or a singleton fixes A at its row and spreads its
-    B-parts over its columns."""
+def _tile_amps(n: int, tiles: Sequence[Tile], particle: int, conj: bool = False) -> np.ndarray:
+    """The parts on particle A (0) or B (1) of the states the tiles host, or
+    their conjugates, one row per label, read-only. A column tile spreads its
+    A-parts over its rows and fixes B; a row tile or a singleton fixes A at
+    its row and spreads its B-parts over its columns."""
     amps = np.zeros((n * n, n), dtype=np.complex128)
     for tile in tiles:
         lines = [cell[particle] for cell in tile.cells]
         if (tile.orientation == "col") != particle:
-            amps[np.array(tile.state_indices)[:, None], lines] = tile.amplitudes
+            part = tile.amplitudes.conj() if conj else tile.amplitudes
+            amps[np.array(tile.state_indices)[:, None], lines] = part
         else:
             amps[tile.state_indices, lines[0]] = 1.0
     amps.setflags(write=False)
@@ -235,42 +234,41 @@ def states_from_tiles(n: int, tiles: Sequence[Tile]) -> tuple[ProductState, ...]
                  for i, (a, b) in enumerate(zip(_tile_amps(n, tiles, 0), _tile_amps(n, tiles, 1))))
 
 
-def _support_groups(nonzero: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # The rows grouped by their pattern of nonzero entries, their support:
-    # each row's group, and each group's support.
-    packed = np.packbits(nonzero, axis=1)
-    order, first = _runs(packed.view(np.dtype((np.void, packed.shape[1]))).ravel())
-    group = np.empty(len(nonzero), dtype=np.int64)
-    group[order] = np.cumsum(first) - 1
-    return group, nonzero[order[first]]
-
-
-def _components(cells: np.ndarray) -> np.ndarray:
-    # For each row, the lowest row joined to it through shared columns: each
-    # label falls to the least label of its columns until none falls.
-    row, col = np.nonzero(cells)
-    starts = np.flatnonzero(np.diff(row, prepend=-1))
-    label = np.arange(len(cells))
+def _components(sa: np.ndarray, sb: np.ndarray) -> np.ndarray:
+    # For each support group, the least group joined to it through groups
+    # whose cells meet, that is whose A-supports and B-supports both overlap
+    # (overlap counts are small integers, exact as float32). Each label falls
+    # to the least label it meets, the first met in label order, _GRAM_BLOCK
+    # pairs at a time, until none falls or all have reached 0.
+    fa, fb = sa.astype(np.float32), sb.astype(np.float32)
+    label = np.arange(len(sa))
+    step = max(1, _GRAM_BLOCK // len(sa))
     while True:
-        low = np.full(cells.shape[1], len(cells))
-        np.minimum.at(low, col, label[row])
-        new = np.minimum.reduceat(low[col], starts)
+        by = np.argsort(label, kind="stable")
+        pa, pb = fa[by].T, fb[by].T
+        met = [((fa[lo:lo + step] @ pa > 0) & (fb[lo:lo + step] @ pb > 0)).argmax(axis=1)
+               for lo in range(0, len(sa), step)]
+        new = label[by][np.concatenate(met)]
         new = new[new]
-        if np.array_equal(new, label):
-            return label
+        if np.array_equal(new, label) or not new.any():
+            return new
         label = new
 
 
-def _joint_gram_ok(amps_a: np.ndarray, amps_b: np.ndarray, supports) -> bool:
+def _joint_gram_ok(amps_a: np.ndarray, amps_b: np.ndarray) -> bool:
     # <A_i (x) B_i|A_j (x) B_j> = <A_i|A_j> <B_i|B_j> is exactly 0 unless the
     # grid cells of state i, the product of its parts' supports, meet those of
-    # state j. So the Gram matrix is checked on the components that shared
-    # cells join, components of one size together, at most _GRAM_BLOCK
-    # entries at once: the tiles of a tiling, or all states when they share
-    # one wide support.
-    group, support = supports
+    # state j. So the states are grouped by the supports of both parts, and
+    # the Gram matrix is checked on the components that shared cells join,
+    # components of one size together, at most _GRAM_BLOCK entries at once:
+    # the tiles of a tiling, or all states when they share one wide support.
     n = amps_a.shape[1]
-    comp = _components((support[:, :n, None] & support[:, None, n:]).reshape(len(support), -1))[group]
+    nonzero = np.concatenate([amps_a != 0, amps_b != 0], axis=1)
+    packed = np.packbits(nonzero, axis=1)
+    order, first = _runs(packed.view(np.dtype((np.void, packed.shape[1]))).ravel())
+    support = nonzero[order[first]]
+    comp = np.empty(len(order), dtype=np.int64)
+    comp[order] = _components(support[:, :n], support[:, n:])[np.cumsum(first) - 1]
     size = np.bincount(comp)[comp]
     order = np.argsort(size * len(comp) + comp, kind="stable")
     ends = np.flatnonzero(np.diff(size[order], append=0)) + 1
@@ -292,10 +290,9 @@ class StateSet:
     """A complete orthogonal set of n^2 product states plus its layout.
 
     amps_a and amps_b stack the states' single-particle kets, one row per
-    state, and _supports groups the states by the supports of both parts;
-    the n^2 x n^2 `joint_matrix` is built on first use."""
+    state; the n^2 x n^2 `joint_matrix` is built on first use."""
 
-    __slots__ = ("states", "layout", "amps_a", "amps_b", "_supports", "_joint", "_bob")
+    __slots__ = ("states", "layout", "amps_a", "amps_b", "_joint", "_bob")
 
     def __init__(self, states: Sequence[ProductState], layout: DominoLayout):
         states = tuple(states)
@@ -309,8 +306,7 @@ class StateSet:
                 raise InvalidSetError("subsystem dimension must match the layout")
         amps_a = np.concatenate([st.ket_a.amps for st in states]).reshape(-1, n)
         amps_b = np.concatenate([st.ket_b.amps for st in states]).reshape(-1, n)
-        supports = _support_groups(np.concatenate([amps_a != 0, amps_b != 0], axis=1))
-        if not _joint_gram_ok(amps_a, amps_b, supports):
+        if not _joint_gram_ok(amps_a, amps_b):
             raise InvalidSetError("joint states must form a complete orthonormal set")
         self._check_layout_consistency(amps_a, amps_b, layout)
         amps_a.setflags(write=False)
@@ -319,7 +315,6 @@ class StateSet:
         object.__setattr__(self, "layout", layout)
         object.__setattr__(self, "amps_a", amps_a)
         object.__setattr__(self, "amps_b", amps_b)
-        object.__setattr__(self, "_supports", supports)
         object.__setattr__(self, "_joint", None)
         object.__setattr__(self, "_bob", None)
 
@@ -329,8 +324,8 @@ class StateSet:
     @staticmethod
     def _check_layout_consistency(amps_a: np.ndarray, amps_b: np.ndarray, layout: DominoLayout) -> None:
         # Each state's parts must be its tile's up to global phase, row by row.
-        ok = [np.abs(np.abs(np.vecdot(amps, _tile_amps(layout.n, layout.tiles, particle))) - 1.0) <= ATOL_STATE
-              for particle, amps in enumerate((amps_a, amps_b))]
+        ok = [np.abs(np.abs(np.einsum("ij,ij->i", _tile_amps(layout.n, layout.tiles, p, True), amps)) - 1.0)
+              <= ATOL_STATE for p, amps in enumerate((amps_a, amps_b))]
         wrong = np.flatnonzero(~(ok[0] & ok[1]))
         if len(wrong):
             raise InvalidSetError(f"state {wrong[0]} does not match its tile")
@@ -490,9 +485,8 @@ def check_conditions(state_set: StateSet) -> ConditionReport:
     """Check that no single-particle measurement can pin down any state:
     every state must have, on each subsystem, a partner that is neither
     equivalent nor orthogonal to it."""
-    group, support = state_set._supports
-    width = support.reshape(len(support), 2, -1).sum(axis=2)[group]
-    ok_a, ok_b = (_oblique_partners(amps, w) for amps, w in zip((state_set.amps_a, state_set.amps_b), width.T))
+    ok_a, ok_b = (_oblique_partners(amps, np.count_nonzero(amps, axis=1))
+                  for amps in (state_set.amps_a, state_set.amps_b))
     return ConditionReport(state_set.n, ok_a, ok_b)
 
 

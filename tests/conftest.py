@@ -157,10 +157,10 @@ def reference_stateset_text(state_set) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def dense_joint_gram_ok(amps_a, amps_b, supports=None) -> bool:
+def dense_joint_gram_ok(amps_a, amps_b) -> bool:
     """StateSet's joint Gram check on the whole n^2 x n^2 matrix, the
-    elementwise product of the two single-particle Gram matrices; it takes
-    and ignores the support groups, so it can stand in for the grouped check."""
+    elementwise product of the two single-particle Gram matrices, so it can
+    stand in for the grouped check."""
     gram = (amps_a.conj() @ amps_a.T) * (amps_b.conj() @ amps_b.T)
     return bool(np.all(np.abs(gram - np.eye(len(gram))) <= ATOL_EXACT))
 

@@ -645,8 +645,8 @@ def test_grouped_set_checks_match_the_dense_ones(case, block):
 
 
 def test_a_set_with_every_part_leaked_off_its_tile_is_decided_as_dense():
-    # each part 1e-13 off its tile at an entry of its own: the supports are
-    # all distinct and wide, and the set is still valid
+    # each part 1e-13 off its tile at an entry chosen by its label: the
+    # supports are all distinct, and the set is still valid
     s = build_symmetric(25)
     leaked = [_leaked(x, 1e-13, lambda k, off: off[(7 * k) % len(off)]) for x in (s.amps_a, s.amps_b)]
     states = tuple(ProductState(k, Ket(a), Ket(b)) for k, (a, b) in enumerate(zip(*leaked)))
@@ -667,3 +667,46 @@ def test_set_checks_at_n_64_form_no_dense_gram_block():
     tracemalloc.stop()
     assert build_peak < 16 * 2**20
     assert conditions_peak < 8 * 2**20
+
+
+def _widened(amps, eps):
+    # each row given eps at every entry off its support but those named by
+    # the set bits of its label: distinct supports, all but 12 entries wide
+    out = amps.copy()
+    for k, row in enumerate(out):
+        off = np.flatnonzero(row == 0)
+        row[off] = eps
+        if len(off) > 1:
+            row[off[[b % len(off) for b in range(12) if k >> b & 1]]] = 0
+        row /= np.linalg.norm(row)
+    return out
+
+
+def test_set_checks_at_n_64_on_distinct_wide_supports_stay_bounded():
+    # Every part leaks 1e-13 off its tile almost everywhere: 4096 distinct
+    # supports, any two of which meet, so all states form one component.
+    # The set is valid, and refused once one state is turned inside its
+    # tile. Dense checks peaked at 40.3 and 8.1 MiB here; the grouped ones
+    # may take half as much again, never memory that grows with the cells.
+    s = build_symmetric(64)
+    amps = [_widened(x, 1e-13) for x in (s.amps_a, s.amps_b)]
+    assert len({(a != 0).tobytes() + (b != 0).tobytes() for a, b in zip(*amps)}) == len(s)
+    states = tuple(ProductState(k, Ket(a), Ket(b)) for k, (a, b) in enumerate(zip(*amps)))
+    tracemalloc.start()
+    wide = StateSet(states, s.layout)
+    build_peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.reset_peak()
+    held = tracemalloc.get_traced_memory()[0]  # the set's own arrays
+    report = check_conditions(wide)
+    conditions_peak = tracemalloc.get_traced_memory()[1] - held
+    tracemalloc.stop()
+    assert report.passed
+    assert build_peak < 60 * 2**20
+    assert conditions_peak < 12 * 2**20
+    tile = s.layout.tiles[-1]
+    i, j = tile.state_indices[:2]
+    spread = int(tile.orientation != "col")
+    parts = [x[i] for x in amps]
+    parts[spread] = math.cos(1e-5) * amps[spread][i] + math.sin(1e-5) * amps[spread][j]
+    with pytest.raises(InvalidSetError, match="complete orthonormal set"):
+        StateSet(_with_parts(states, {i: parts}), s.layout)
