@@ -8,7 +8,7 @@ they return is what Bob receives.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -26,10 +26,11 @@ from .qcore import (
     basis_ket,
     born_rows,
     born_sample,
+    product_sample,
     projective_measure,
     tensor,
 )
-from .stateset import StateSet, bob_basis, bob_table
+from .stateset import StateSet, bob_basis
 
 # What a kernel returns for a chunk of rounds: the A and B outcomes the
 # channel recorded and its inferred label (None when it records nothing),
@@ -284,12 +285,12 @@ class SubstituteCollective(EveStrategy):
         return self.state_set[outcome].ket_b
 
     def _kernel(self, state_set: StateSet) -> Kernel:
-        n = state_set.n
-        joint = bob_table(self.state_set, state_set.amps_a, state_set.amps_b)
+        n, own = state_set.n, self.state_set
+        parts, held = (own.amps_a, own.amps_b), (state_set.amps_a, state_set.amps_b)
 
         def step(alice, draws):
             k = draws.integers(n)
-            o = joint.sample(alice, alice, draws.random())
+            o, _ = product_sample(parts, held, alice, alice, draws.random(), partial(bob_basis, own))
             return None, o, o, (k, o)
 
         return step, (np.stack([ket.amps for ket in self._substitutes]), self.state_set.amps_b)

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from types import SimpleNamespace
 from typing import Iterator
 
@@ -20,10 +20,11 @@ from .qcore import (
     StreamBlocks,
     key_word,
     philox_block,
+    product_sample,
     projective_measure,
     tensor,
 )
-from .stateset import StateSet, bob_table
+from .stateset import StateSet, bob_basis
 
 # Stream id reserved for the check-subset draw; round ids stay far below it.
 CHECK_STREAM_ID = 2**64 - 1
@@ -136,13 +137,14 @@ def _one_lane(rng: RngStream) -> SimpleNamespace:
                            random=lambda: np.array([rng.random()]))
 
 
-def _kernel_columns(size: int, step, bob, draws) -> np.ndarray:
+def _kernel_columns(state_set: StateSet, step, forwarded, draws) -> np.ndarray:
     """The kernel's columns, as `round_columns` yields them, for the rounds
-    whose draws `draws` hands out, one lane each."""
-    alice = draws.integers(size)
+    whose draws `draws` hands out, one lane each, Bob's in `bob_basis(state_set)`."""
+    alice = draws.integers(len(state_set))
     *eve, sent = step(alice, draws)
     columns = np.full((5, len(alice)), -1, dtype=np.int64)
-    columns[0], columns[1] = alice, bob.sample(*sent, draws.random())
+    columns[0], (columns[1], _) = alice, product_sample(
+        (state_set.amps_a, state_set.amps_b), forwarded, *sent, draws.random(), partial(bob_basis, state_set))
     for row, column in enumerate(eve, start=2):
         if column is not None:
             columns[row] = column
@@ -160,19 +162,18 @@ def round_columns(
     Round r draws only from the stream (seed, r). Sessions and estimates run
     only the kernel the strategy's own class defines, over each chunk; each
     lane whose draws the chunk cannot be sure of runs through the same
-    kernel and tables again, alone, on its own RngStream. A class without a
-    `_kernel` of its own raises TypeError, rather than run its parent's."""
+    kernel again, alone, on its own RngStream. A class without a `_kernel`
+    of its own raises TypeError, rather than run its parent's."""
     if "_kernel" not in vars(type(strategy)):
         raise TypeError(f"{type(strategy).__name__} defines no _kernel of its own")
     step, forwarded = strategy._kernel(state_set)
-    bob = bob_table(state_set, *forwarded)
     for start in range(0, rounds, CHUNK_ROUNDS):
         ids = range(start, min(start + CHUNK_ROUNDS, rounds))
         draws = StreamBlocks(philox_block(seed, np.array(ids)))
-        columns = _kernel_columns(len(state_set), step, bob, draws)
+        columns = _kernel_columns(state_set, step, forwarded, draws)
         for lane in np.flatnonzero(draws.unsure).tolist():
             columns[:, lane:lane + 1] = _kernel_columns(
-                len(state_set), step, bob, _one_lane(RngStream(seed, ids[lane])))
+                state_set, step, forwarded, _one_lane(RngStream(seed, ids[lane])))
         yield columns
 
 

@@ -3,7 +3,7 @@ and keyed deterministic random streams."""
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -266,7 +266,10 @@ def projective_measure(state: Ket, basis: MeasurementBasis, rng: RngStream) -> t
 
 def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """A stable sorting order of keys, and which of its positions start a
-    run of equal keys (np.unique would load numpy.ma on first use)."""
+    run of equal keys (np.unique would load numpy.ma on first use). Integer
+    keys in [0, 2^16) are sorted as uint16, which numpy radix-sorts."""
+    if keys.dtype.kind in "iu" and keys.min(initial=0) >= 0 and keys.max(initial=0) < 2**16:
+        keys = keys.astype(np.uint16)
     order = np.argsort(keys, kind="stable")
     ordered = keys[order]
     first = np.ones(len(keys), dtype=bool)
@@ -294,9 +297,8 @@ def born_sample(rows: Callable[[np.ndarray], np.ndarray], size: int,
     `rows(keys)` gives the outcome distributions of the states named by
     integer keys in [0, size), one row per key. It is asked once, for the
     call's distinct keys in ascending order, and nothing is kept past the
-    call. Lanes take their outcomes by `_search`, as Bob's
-    `ProductBornTable` does: those `projective_measure` takes from the same
-    numbers and uniform draws."""
+    call. Lanes take their outcomes by `_search`, as `product_sample` does:
+    those `projective_measure` takes from the same numbers and draws."""
     wanted = np.zeros(size, dtype=bool)
     wanted[keys] = True
     cumulative, totals = _cumulative(rows(np.flatnonzero(wanted)))
@@ -305,8 +307,8 @@ def born_sample(rows: Callable[[np.ndarray], np.ndarray], size: int,
 
 
 _U = 2.0**-53
-# Rows multiplied at a time, in floats, so that the gathered factors need
-# no second table the size of a chunk's rows.
+# Entries formed at once by each step of `product_sample`: candidate masks,
+# factor products and the rows of a block of pairs.
 _BLOCK_FLOATS = 2**20
 
 
@@ -316,7 +318,7 @@ def _gamma(k: int) -> float:
 
 def guard_band(n: int) -> float:
     """Largest gap between the joint and the factorised sampling numbers
-    for a product basis of n x n: the band in which `ProductBornTable`
+    for a product basis of n x n: the band in which `product_sample`
     does not trust a factorised row.
 
     Bob measures a (x) b in the basis A_j (x) B_j, j < m = n^2. The exact
@@ -383,81 +385,97 @@ def _search(cumulative: np.ndarray, rows: np.ndarray, target: np.ndarray) -> np.
     return pos - start + (flat[pos] <= target)
 
 
-class ProductBornTable:
-    """The measurement of product states a (x) b in a basis of product
-    states A_j (x) B_j, sampled a chunk at a time from the product
-    structure.
+def _support_groups(nonzero: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's group and each group's pattern: one `_runs` over the packed rows."""
+    packed = np.packbits(nonzero, axis=1)
+    order, first = _runs(packed.view(np.dtype((np.void, packed.shape[1]))).ravel())
+    group = np.empty(len(order), dtype=np.int64)
+    group[order] = np.cumsum(first) - 1
+    return group, nonzero[order[first]]
 
-    basis_a and basis_b hold the rows A_j and B_j; kets_a and kets_b the
-    kets that may be measured, named by row. The factor |<A_j|a>|^2 of a
-    ket is computed on its first use and kept for the table's life, so a
-    row |<A_j|a>|^2 |<B_j|b>|^2 costs O(n^2) instead of the O(n^4) of a
-    joint product. Rows live for one `sample` call: only their cumsums are
-    formed, for the distinct pairs the call measures, and a row's total is
-    its last cumsum entry.
 
-    A lane whose target u*total lies within `guard_band` of a cumsum entry
-    beside its outcome is flagged and takes its outcome from
-    `joint(i, k)`, the joint row of kets_a[i] (x) kets_b[k]. Every other
-    lane takes the outcome that row would give, as the guard band shows,
-    so the outcomes are those of `projective_measure` in the joint basis
-    when `joint` computes its rows."""
+def _candidate_rows(parts: tuple[np.ndarray, np.ndarray], kets: tuple[np.ndarray, np.ndarray],
+                    i: np.ndarray, k: np.ndarray) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+    """The Born rows of kets[0][i[r]] (x) kets[1][k[r]] in the basis parts[0][l]
+    (x) parts[1][l], in blocks of pairs r: (first r, labels, counts, cumulative).
+    Row q holds pair r + q's counts[q] candidates, the labels whose parts'
+    supports meet its kets' on both particles, in ascending order, and the
+    cumsum of their p_l, padded with zeros. Any other label's p_l is exactly 0
+    in the dense row, as each term of one of its inner products has a zero
+    factor, and adding 0.0 changes no entry: the last entry is the total."""
+    m = len(parts[0])
+    groups = [_support_groups(amps != 0) for amps in parts]
+    # runs of consecutive labels whose parts share their supports; a pair
+    # meets a run where the overlap counts, small integers, are not 0
+    run = np.flatnonzero(np.diff(groups[0][0] * len(groups[1][1]) + groups[1][0], prepend=-1))
+    meet = [support[group[run]].T.astype(np.float32) for group, support in groups]
+    step = max(1, _BLOCK_FLOATS // len(run))
+    found = [(lo, *np.nonzero((kets[0][i[lo:lo + step]] != 0) @ meet[0] * ((kets[1][k[lo:lo + step]] != 0) @ meet[1])))
+             for lo in range(0, len(i), step)]
+    pair, met = (np.concatenate(column) for column in zip(*[(lo + r, c) for lo, r, c in found]))
+    size = np.diff(run, append=m)[met]
+    offset = np.cumsum(size) - size
+    label = np.arange(offset[-1] + size[-1]) + np.repeat(run[met] - offset, size)
+    probs = np.ones(len(label))
+    for amps, ket, index in zip(parts, kets, (i, k)):
+        used = np.zeros(len(ket), dtype=bool)
+        used[index] = True
+        if np.count_nonzero(used) * m <= _BLOCK_FLOATS:
+            # few kets: the factors of every label, from one product
+            factors = np.abs(ket[used] @ amps.conj().T) ** 2
+            probs *= factors[np.repeat((np.cumsum(used) - 1)[index[pair]], size), label]
+            continue
+        # else each run's factors for the pairs that meet it, from one product
+        order, first = _runs(met)
+        for runs in np.split(order, np.flatnonzero(first)[1:]):
+            labels = np.arange(run[met[runs[0]]], run[met[runs[0]]] + size[runs[0]])
+            step = max(1, _BLOCK_FLOATS // len(labels))
+            for lo in range(0, len(runs), step):
+                at = offset[runs[lo:lo + step]] + np.arange(len(labels))[:, None]
+                probs[at] *= np.abs(amps[labels].conj() @ ket[index[pair[runs[lo:lo + step]]]].T) ** 2
+    pair = np.repeat(pair, size)
+    counts = np.bincount(pair, minlength=len(i))
+    start = np.cumsum(counts) - counts
+    step = max(1, _BLOCK_FLOATS // int(counts.max()))
+    for lo in range(0, len(i), step):
+        block = counts[lo:lo + step]
+        entries = slice(start[lo], start[lo] + block.sum())
+        at = (pair[entries] - lo, np.arange(entries.start, entries.stop) - start[pair[entries]])
+        cumulative = np.zeros((len(block), int(block.max())))
+        labels = np.zeros(cumulative.shape, dtype=np.int64)
+        cumulative[at], labels[at] = probs[entries], label[entries]
+        yield lo, labels, block, np.cumsum(cumulative, axis=1, out=cumulative)
 
-    __slots__ = ("_conj", "_kets", "_factors", "_known", "_joint", "band", "flagged")
 
-    def __init__(self, basis_a: np.ndarray, basis_b: np.ndarray,
-                 kets_a: np.ndarray, kets_b: np.ndarray,
-                 joint: Callable[[int, int], np.ndarray]):
-        m, n = basis_a.shape
-        self._conj = (basis_a.conj().T, basis_b.conj().T)
-        self._kets = (kets_a, kets_b)
-        self._factors = (np.empty((len(kets_a), m)), np.empty((len(kets_b), m)))
-        self._known = (np.zeros(len(kets_a), dtype=bool), np.zeros(len(kets_b), dtype=bool))
-        self._joint = joint
-        self.band = guard_band(n)
-        self.flagged = 0
-
-    def _factors_of(self, side: int, index: np.ndarray) -> np.ndarray:
-        factors, known = self._factors[side], self._known[side]
-        wanted = np.zeros(len(known), dtype=bool)
-        wanted[index] = True
-        new = np.flatnonzero(wanted & ~known)
-        if len(new):
-            factors[new] = np.abs(self._kets[side][new] @ self._conj[side]) ** 2
-            known[new] = True
-        return factors
-
-    def rows(self, i: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Cumsums (one row per pair) and totals, their last entries, of
-        the factorised rows of the pairs kets_a[i[r]] (x) kets_b[k[r]]."""
-        factors_a, factors_b = self._factors_of(0, i), self._factors_of(1, k)
-        probs = factors_a[i]
-        step = max(1, _BLOCK_FLOATS // probs.shape[1])
-        for start in range(0, len(k), step):
-            probs[start:start + step] *= factors_b[k[start:start + step]]
-        cumulative = np.cumsum(probs, axis=1, out=probs)
-        return cumulative, cumulative[:, -1]
-
-    def sample(self, i: np.ndarray, k: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Outcome of measuring kets_a[i[j]] (x) kets_b[k[j]] with uniform
-        draw u[j], per lane."""
-        keys = i * len(self._kets[1]) + k
-        order, first = _runs(keys)
-        row = np.empty(len(keys), dtype=np.int64)
-        row[order] = np.cumsum(first) - 1
-        cumulative, totals = self.rows(*np.divmod(keys[order[first]], len(self._kets[1])))
-        target = u * totals[row]
-        outcomes = _search(cumulative, row, target)
-        last = cumulative.shape[1] - 1
-        flat, start = cumulative.reshape(-1), row * (last + 1)
-        below = np.where(outcomes > 0, flat[start + np.maximum(outcomes - 1, 0)], -np.inf)
-        above = np.where(outcomes < last, flat[start + outcomes], np.inf)
-        flagged = np.flatnonzero((target - below <= self.band) | (above - target <= self.band))
-        for lane in flagged.tolist():
-            exact, total = _cumulative(self._joint(int(i[lane]), int(k[lane])))
-            outcomes[lane] = _outcome(exact, u[lane] * total)
-        self.flagged += len(flagged)
-        return outcomes
+def product_sample(parts: tuple[np.ndarray, np.ndarray], kets: tuple[np.ndarray, np.ndarray],
+                   i: np.ndarray, k: np.ndarray, u: np.ndarray,
+                   joint: Callable[[], MeasurementBasis]) -> tuple[np.ndarray, int]:
+    """Outcome of measuring kets[0][i[j]] (x) kets[1][k[j]] with uniform draw
+    u[j] in the basis parts[0][l] (x) parts[1][l], per lane, and how many lanes
+    were flagged; nothing is kept past the call. A lane is flagged when its
+    target u*total lies within `guard_band` of an entry beside its outcome in
+    the dense row (the previous candidate's, 0.0 before the first candidate,
+    -inf at label 0; its own, +inf at the last label), and then takes its
+    outcome from its joint row in `joint()`, as every other lane provably does."""
+    m, band = len(parts[0]), guard_band(parts[0].shape[1])
+    keys = i * len(kets[1]) + k
+    order, first = _runs(keys)
+    row = np.cumsum(first) - 1
+    outcomes, close = np.empty(len(keys), dtype=np.int64), np.zeros(len(keys), dtype=bool)
+    for lo, labels, counts, cumulative in _candidate_rows(parts, kets, *np.divmod(keys[order[first]], len(kets[1]))):
+        a, b = np.searchsorted(row, (lo, lo + len(counts)))
+        lanes, r = order[a:b], row[a:b] - lo
+        target = u[lanes] * cumulative[r, -1]
+        pos = np.minimum(_search(cumulative, r, target), counts[r] - 1)
+        outcomes[lanes] = label = labels[r, pos]
+        below = np.where(pos > 0, cumulative[r, np.maximum(pos - 1, 0)], np.where(label > 0, 0.0, -np.inf))
+        above = np.where(label < m - 1, cumulative[r, pos], np.inf)
+        close[lanes] = (target - below <= band) | (above - target <= band)
+    flagged = np.flatnonzero(close)
+    for lane in flagged.tolist():
+        exact, total = _cumulative(born_rows(joint()._conj_matrix, joint_amps(kets[0][i[lane]], kets[1][k[lane]])))
+        outcomes[lane] = _outcome(exact, u[lane] * total)
+    return outcomes, len(flagged)
 
 
 # Philox4x64-10 (Salmon et al., SC'11): round multipliers and key increments.

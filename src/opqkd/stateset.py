@@ -21,25 +21,20 @@ from .qcore import (
     ATOL_STATE,
     Ket,
     MeasurementBasis,
-    ProductBornTable,
     _checked,
     _runs,
-    born_rows,
-    joint_amps,
+    _support_groups,
     near_identity,
     tensor,
 )
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 # The most memory a run may use, and the largest n it allows. A set on the
-# n x n grid has n^2 states, and the largest arrays are n^2 x n^2, 8 bytes
-# per n^4 as floats and 16 as complex numbers: the Born tables' cached
-# factors (a float table for each side whose kets are the set's states,
-# three at most, under the substitute attack) and, once a lane is flagged,
-# the joint matrix and the set's one conjugate of it, in `bob_basis`. With
-# one chunk's rows, 8 * 8192 * n^2 bytes, that is at most 72 bytes per n^4
-# at n = 64 (measured there: 759 MiB; 1271 MiB when joint rows are used).
-# The budget would allow n <= 75; the ceiling stays at 64 until the
+# n x n grid has n^2 states; Bob's rows hold each pair's candidates alone,
+# so the largest arrays are the joint matrix and its one conjugate in
+# `bob_basis`, 32 bytes per n^4, formed on a run's first flagged lane (at
+# n = 64 and 20,000 rounds: 66-170 MiB, 579-594 MiB with every lane flagged).
+# The budget would allow n of about 87; the ceiling stays at 64 until the
 # relabelled symmetry search of `validate --set-file` is bounded there.
 MEMORY_BUDGET_BYTES = 2 * 2**30
 MAX_DIM = 64
@@ -263,12 +258,8 @@ def _joint_gram_ok(amps_a: np.ndarray, amps_b: np.ndarray) -> bool:
     # components of one size together, at most _GRAM_BLOCK entries at once:
     # the tiles of a tiling, or all states when they share one wide support.
     n = amps_a.shape[1]
-    nonzero = np.concatenate([amps_a != 0, amps_b != 0], axis=1)
-    packed = np.packbits(nonzero, axis=1)
-    order, first = _runs(packed.view(np.dtype((np.void, packed.shape[1]))).ravel())
-    support = nonzero[order[first]]
-    comp = np.empty(len(order), dtype=np.int64)
-    comp[order] = _components(support[:, :n], support[:, n:])[np.cumsum(first) - 1]
+    group, support = _support_groups(np.concatenate([amps_a != 0, amps_b != 0], axis=1))
+    comp = _components(support[:, :n], support[:, n:])[group]
     size = np.bincount(comp)[comp]
     order = np.argsort(size * len(comp) + comp, kind="stable")
     ends = np.flatnonzero(np.diff(size[order], append=0)) + 1
@@ -650,18 +641,6 @@ def bob_basis(state_set: StateSet) -> MeasurementBasis:
     if state_set._bob is None:
         object.__setattr__(state_set, "_bob", MeasurementBasis._checked(state_set.joint_matrix))
     return state_set._bob
-
-
-def bob_table(state_set: StateSet, kets_a: np.ndarray, kets_b: np.ndarray) -> ProductBornTable:
-    """The measurement `bob_basis` makes, as a table over the product states
-    kets_a[i] (x) kets_b[k]. Rows come from the product structure. A lane
-    too close to call is measured on its joint row, with the conjugate of
-    bob_basis(state_set), which the set forms on its first such lane."""
-
-    def joint(i: int, k: int) -> np.ndarray:
-        return born_rows(bob_basis(state_set)._conj_matrix, joint_amps(kets_a[i], kets_b[k]))
-
-    return ProductBornTable(state_set.amps_a, state_set.amps_b, kets_a, kets_b, joint)
 
 
 _FORMAT_TAG = "opqkd-stateset-1"

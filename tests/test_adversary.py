@@ -13,6 +13,7 @@ from opqkd import (
     EveStrategy,
     InvalidSetError,
     MeasureSecondOnly,
+    ProductState,
     ProtocolOrderError,
     RngStream,
     SetParameters,
@@ -41,6 +42,7 @@ from opqkd.qcore import (
     MeasurementBasis,
     StreamBlocks,
     _canonical_rows,
+    _candidate_rows,
     _cumulative,
     _outcome,
     born_probabilities,
@@ -48,11 +50,11 @@ from opqkd.qcore import (
     canonical_phase,
     guard_band,
     philox_block,
+    product_sample,
     projective_measure,
     tensor,
 )
 from opqkd import stateset
-from opqkd.stateset import bob_table
 
 
 def test_conditional_basis_balanced_3x3():
@@ -315,28 +317,52 @@ def _joint_outcome(basis, ket_a, ket_b, u):
     return projective_measure(tensor(Ket(ket_a), Ket(ket_b)), basis, rng)[0]
 
 
+def _bob(parts, kets, i, k, u, basis):
+    # Bob's measurement of kets[0][i] (x) kets[1][k] in the basis of parts
+    return product_sample(parts, kets, np.asarray(i), np.asarray(k), np.asarray(u, dtype=float), lambda: basis)
+
+
+def _dense_rows(parts, kets, i, k):
+    # The cumsums product_sample forms for the pairs (i[r], k[r]), laid out
+    # over every label as a dense row: a label that is no candidate holds
+    # the entry of the last candidate before it, or 0.0.
+    dense = np.zeros((len(i), len(parts[0])))
+    for lo, labels, counts, cumulative in _candidate_rows(parts, kets, np.asarray(i), np.asarray(k)):
+        for q, count in enumerate(counts):
+            before = np.searchsorted(labels[q, :count], np.arange(dense.shape[1]), side="right") - 1
+            dense[lo + q] = np.where(before >= 0, cumulative[q, np.maximum(before, 0)], 0.0)
+    return dense
+
+
 @pytest.mark.parametrize("n", [3, 4, 5, 9])
 def test_kernel_bob_tables_equal_born_probabilities(n):
     # every lane a session would measure for Bob takes the outcome of
-    # projective_measure in the joint basis, and every factorised cumsum
-    # and total lies within the guard band of the joint ones
+    # projective_measure in the joint basis; every factorised cumsum and
+    # total lies within the guard band of the joint ones, and a label that
+    # is no candidate has a joint probability of exactly 0
     s = build_symmetric(n)
-    basis = bob_basis(s)
+    basis, parts = bob_basis(s), (s.amps_a, s.amps_b)
     for name in STRATEGY_NAMES:
-        step, (kets_a, kets_b) = make_strategy(name, s)._kernel(s)
+        step, kets = make_strategy(name, s)._kernel(s)
         draws = StreamBlocks(philox_block(n, np.arange(3000)))
         _, _, _, (i, k) = step(draws.integers(n * n), draws)
         u = draws.random()
-        table = bob_table(s, kets_a, kets_b)
-        outcomes = table.sample(i, k, u)
+        outcomes, _ = _bob(parts, kets, i, k, u, basis)
         for lane in range(len(u)):
-            assert outcomes[lane] == _joint_outcome(basis, kets_a[i[lane]], kets_b[k[lane]], u[lane])
+            assert outcomes[lane] == _joint_outcome(basis, kets[0][i[lane]], kets[1][k[lane]], u[lane])
         pairs = np.unique(np.stack([i, k]), axis=1)
-        cumulative, totals = table.rows(*pairs)
+        cumulative = _dense_rows(parts, kets, *pairs)
         for row, (a, b) in enumerate(pairs.T):
-            probs = born_probabilities(tensor(Ket(kets_a[a]), Ket(kets_b[b])), basis)
-            assert np.all(np.abs(cumulative[row] - probs.cumsum()) <= table.band)
-            assert abs(totals[row] - probs.sum()) <= table.band
+            probs = born_probabilities(tensor(Ket(kets[0][a]), Ket(kets[1][b])), basis)
+            assert np.all(np.abs(cumulative[row] - probs.cumsum()) <= guard_band(n))
+            assert abs(cumulative[row, -1] - probs.sum()) <= guard_band(n)
+        candidate = np.zeros(cumulative.shape, dtype=bool)
+        for lo, labels, counts, _ in _candidate_rows(parts, kets, *pairs):
+            for q, count in enumerate(counts):
+                candidate[lo + q, labels[q, :count]] = True
+        for row, (a, b) in enumerate(pairs.T):
+            probs = born_probabilities(tensor(Ket(kets[0][a]), Ket(kets[1][b])), basis)
+            assert np.all(probs[~candidate[row]] == 0.0)
 
 
 def _on_boundary(total, entry):
@@ -355,21 +381,20 @@ def test_target_on_a_cumsum_entry_is_flagged(n):
     # each interior cumsum entry is too close to call, and the lane takes
     # the joint row's outcome
     s = build_symmetric(n)
-    basis = bob_basis(s)
-    _, (kets_a, kets_b) = make_strategy("substitute", s)._kernel(s)
-    table = bob_table(s, kets_a, kets_b)
+    basis, parts = bob_basis(s), (s.amps_a, s.amps_b)
+    _, kets = make_strategy("substitute", s)._kernel(s)
     i, k = np.arange(n), (np.arange(n) * 7 + 1) % (n * n)
-    cumulative, totals = table.rows(i, k)
-    lanes = [(a, b, _on_boundary(totals[r], entry))
+    cumulative = _dense_rows(parts, kets, i, k)
+    lanes = [(a, b, _on_boundary(cumulative[r, -1], entry))
              for r, (a, b) in enumerate(zip(i, k))
              for entry in np.unique(cumulative[r])
-             if 0.0 < entry < totals[r] * (1 - 1e-9)]
+             if 0.0 < entry < cumulative[r, -1] * (1 - 1e-9)]
     assert lanes
     li, lk, lu = (np.array(column) for column in zip(*lanes))
-    outcomes = table.sample(li, lk, lu)
-    assert table.flagged == len(lanes)
+    outcomes, flagged = _bob(parts, kets, li, lk, lu, basis)
+    assert flagged == len(lanes)
     for lane, (a, b, u) in enumerate(lanes):
-        assert outcomes[lane] == _joint_outcome(basis, kets_a[a], kets_b[b], u)
+        assert outcomes[lane] == _joint_outcome(basis, kets[0][a], kets[1][b], u)
 
 
 def test_guard_band_grows_as_n4():
@@ -381,32 +406,81 @@ def test_guard_band_grows_as_n4():
     assert guard_band(64) < 1e-7
 
 
-@settings(max_examples=60, deadline=None)
-@given(hst.data())
-def test_factorised_sampling_matches_joint_property(data):
-    if data.draw(hst.booleans()):
-        s = build_3x3(random_parameters(np.random.default_rng(data.draw(hst.integers(0, 2**32 - 1)))))
-    else:
-        s = build_symmetric(data.draw(hst.integers(3, 7)))
-    name = data.draw(hst.sampled_from(STRATEGY_NAMES))
+def _leaked_off_tiles(amps, eps):
+    # each row given eps at one entry off its support, chosen by its label,
+    # and normalised again: a valid set whose supports are all wider
+    out = amps.copy()
+    for i, row in enumerate(out):
+        off = np.flatnonzero(row == 0)
+        if len(off):
+            row[off[(7 * i) % len(off)]] = eps
+            row /= np.linalg.norm(row)
+    return out
+
+
+@hst.composite
+def _measured_sets(draw):
+    # (parts, kets, basis): the family or a random 3 x 3 set with the kets a
+    # strategy forwards; the family with every part leaked off its tile; or
+    # the family turned by a random unitary on each particle, where every
+    # label is a candidate of every pair, measuring its own parts or basis kets
+    kind = draw(hst.sampled_from(("random", "family", "leaked", "rotated")))
+    rng = np.random.default_rng(draw(hst.integers(0, 2**32 - 1)))
+    s = _random_3x3(int(rng.integers(2**32))) if kind == "random" else build_symmetric(draw(hst.integers(3, 7)))
+    amps = (s.amps_a, s.amps_b)
+    if kind == "leaked":
+        amps = tuple(_leaked_off_tiles(x, 1e-13) for x in amps)
+        s = StateSet(tuple(ProductState(j, Ket(a), Ket(b)) for j, (a, b) in enumerate(zip(*amps))), s.layout)
+    if kind == "rotated":
+        amps = tuple(x @ np.linalg.qr(rng.standard_normal((s.n, s.n)) + 1j * rng.standard_normal((s.n, s.n)))[0]
+                     for x in amps)
+        kets = draw(hst.sampled_from((amps, (np.eye(s.n, dtype=complex),) * 2)))
+        joint = (amps[0][:, :, None] * amps[1][:, None, :]).reshape(len(s), -1)
+        return amps, kets, MeasurementBasis._checked(joint)
     try:
-        _, (kets_a, kets_b) = make_strategy(name, s)._kernel(s)
+        _, kets = make_strategy(draw(hst.sampled_from(STRATEGY_NAMES)), s)._kernel(s)
     except InvalidSetError:
-        return  # the conditional attack rejects sets whose B-parts are oblique
-    table = bob_table(s, kets_a, kets_b)
+        kets = amps  # the conditional attack rejects sets whose B-parts are oblique
+    return amps, kets, bob_basis(s)
+
+
+# Where a lane's target lies in its dense row: a uniform draw; on a cumsum
+# entry; on label 0's entry; at 0 (0.0 below it on a row whose first
+# candidate is not label 0); on the entry before the last label; and at the
+# total itself, above every entry before it.
+_TARGETS = ("draw", "entry", "label 0", "zero", "last", "total")
+
+
+@settings(max_examples=60, deadline=None)
+@given(_measured_sets(), hst.data())
+def test_factorised_sampling_matches_joint_property(case, data):
+    parts, kets, basis = case
+    band = guard_band(parts[0].shape[1])
     lanes = data.draw(hst.lists(hst.tuples(
-        hst.integers(0, len(kets_a) - 1), hst.integers(0, len(kets_b) - 1),
-        hst.floats(0.0, 1.0, exclude_max=True), hst.booleans()), min_size=1, max_size=30))
+        hst.integers(0, len(kets[0]) - 1), hst.integers(0, len(kets[1]) - 1),
+        hst.floats(0.0, 1.0, exclude_max=True), hst.sampled_from(_TARGETS)), min_size=1, max_size=30))
     i, k = (np.array([lane[c] for lane in lanes]) for c in (0, 1))
-    cumulative, totals = table.rows(i, k)
+    dense = _dense_rows(parts, kets, i, k)
+    total, m = dense[:, -1], dense.shape[1]
+    entry = {"entry": lambda r, draw: dense[r, int(draw * m)], "label 0": lambda r, _: dense[r, 0],
+             "last": lambda r, _: dense[r, m - 2]}
     u = np.array([
-        _on_boundary(totals[r], cumulative[r][int(draw * len(cumulative[r]))]) if boundary else draw
-        for r, (_, _, draw, boundary) in enumerate(lanes)])
-    u = np.minimum(u, np.nextafter(1.0, 0.0))
-    outcomes = table.sample(i, k, u)
-    basis = bob_basis(s)
-    for lane in range(len(lanes)):
-        assert outcomes[lane] == _joint_outcome(basis, kets_a[i[lane]], kets_b[k[lane]], u[lane])
+        _on_boundary(total[r], entry[target](r, draw)) if target in entry
+        else {"draw": draw, "zero": 0.0, "total": 1.0}[target]
+        for r, (_, _, draw, target) in enumerate(lanes)])
+    outcomes, flagged = _bob(parts, kets, i, k, u, basis)
+    assert flagged == sum(_bob(parts, kets, i[r:r + 1], k[r:r + 1], u[r:r + 1], basis)[1] for r in range(len(u)))
+    for r in range(len(lanes)):
+        assert outcomes[r] == _joint_outcome(basis, kets[0][i[r]], kets[1][k[r]], u[r])
+        # the flag the dense row gives, from the entries beside its outcome
+        target = u[r] * total[r]
+        o = int(_outcome(dense[r], target))
+        below = dense[r, o - 1] if o > 0 else -np.inf
+        above = dense[r, o] if o < m - 1 else np.inf
+        expected = target - below <= band or above - target <= band
+        assert _bob(parts, kets, i[r:r + 1], k[r:r + 1], u[r:r + 1], basis)[1] == expected
+        if not expected:
+            assert outcomes[r] == o
 
 
 def _scalar_distinct_parts(state_set, m):

@@ -11,9 +11,16 @@ import io
 import numpy as np
 
 from conftest import set_from_cellsets
-from opqkd import SetParameters, build_3x3, build_symmetric, monte_carlo_estimate, stateset_to_text
+from opqkd import (
+    SetParameters,
+    build_3x3,
+    build_symmetric,
+    make_strategy,
+    monte_carlo_estimate,
+    stateset_to_text,
+)
 from opqkd.cli import main
-from opqkd.protocol import CHUNK_ROUNDS
+from opqkd.protocol import CHUNK_ROUNDS, round_columns
 
 SKEWED = "1,0,0.9486832980505138,0.31622776601683794,1,0,1,0"
 DEGENERATE = "1,0,1,0,1,0,1,0"
@@ -369,6 +376,28 @@ def test_transcripts_match_golden_at_n25(tmp_path):
                      "--output", str(tmp_path / "report")]) == 0
         got[strategy] = _digest(path.read_bytes())
     assert got == GOLDEN_TRANSCRIPTS_25
+
+
+# At n = 41 the substitute attack's rows are Bob's widest on the family. One
+# sha256 over the int64 columns of every chunk, in order, of 2 chunks and 37
+# rounds with seed 9, per strategy.
+GOLDEN_CHUNKS_41 = {
+    "none": "3dc0721e0a26fedaece9ac17d563dc1fdb3cb80cc501cce0ce849dc54be0f872",
+    "intercept": "e50f3768dd22627a65ef0fe65a29f5560db5c8e54daa575cc8ac5ef4f296c167",
+    "complementary": "5dd02a66a373f90fffbe3cf6f9d2d6e5b0961df1052e7281bd5dee292de9cb43",
+    "substitute": "eee951226250f27c6f82d1cb01f912bf941b8aeac4b8056768bc496b95736aeb",
+}
+
+
+def test_round_columns_match_golden_at_n41():
+    state_set = build_symmetric(41)
+    got = {}
+    for name in STRATEGIES:
+        digest = hashlib.sha256()
+        for columns in round_columns(state_set, make_strategy(name, state_set), 9, 2 * CHUNK_ROUNDS + 37):
+            digest.update(columns.astype("<i8").tobytes())
+        got[name] = digest.hexdigest()
+    assert got == GOLDEN_CHUNKS_41
 
 
 def test_exported_set_files_match_golden(tmp_path):

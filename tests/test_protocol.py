@@ -339,21 +339,52 @@ def test_forced_flags_keep_every_outcome(monkeypatch, n):
 
 
 def test_forced_flags_form_one_conjugate_per_set(monkeypatch):
-    # the substitute attack's two tables measure flagged lanes with the
-    # conjugate that bob_basis holds for the set, not one copy each
+    # the substitute attack's two measurements take flagged lanes' joint
+    # rows from the conjugate that bob_basis holds for the set, not one copy each
     s = build_symmetric(5)
     conjugates = []
-    real_rows = stateset.born_rows
+    real_rows = qcore.born_rows
 
     def spy(conj, amps):
         conjugates.append(conj)
         return real_rows(conj, amps)
 
     _force_flags(monkeypatch)
-    monkeypatch.setattr(stateset, "born_rows", spy)
+    monkeypatch.setattr(qcore, "born_rows", spy)
     monte_carlo_estimate(s, "substitute", 200, seed=3)
     assert len(conjugates) == 2 * 200
     assert all(conj is bob_basis(s)._conj_matrix for conj in conjugates)
+
+
+def test_bob_chunk_at_n_64_forms_no_dense_rows():
+    # Bob's rows hold each pair's candidates alone: n^2-wide rows for a
+    # chunk and factor tables for the set's kets peaked at 596 MiB
+    s = build_symmetric(64)
+    tracemalloc.start()
+    next(round_columns(s, EveStrategy(), 1, protocol.CHUNK_ROUNDS))
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 32 * 2**20
+    assert s._joint is None  # no lane was flagged
+
+
+def test_bob_keeps_no_rows_between_calls(monkeypatch):
+    # two identical estimates form the same Born-row entries: nothing
+    # formed by the first is kept for the second
+    s = build_symmetric(9)
+    formed = []
+    real_rows = qcore._candidate_rows
+
+    def spy(*args):
+        for block in real_rows(*args):
+            formed[-1] += int(block[2].sum())
+            yield block
+
+    monkeypatch.setattr(qcore, "_candidate_rows", spy)
+    for _ in range(2):
+        formed.append(0)
+        monte_carlo_estimate(s, "substitute", 3000, seed=5)
+    assert formed[0] == formed[1] > 0
 
 
 def test_session_columns_and_records_agree():
