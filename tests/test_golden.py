@@ -21,6 +21,7 @@ from opqkd import (
 )
 from opqkd.cli import main
 from opqkd.protocol import CHUNK_ROUNDS, round_columns
+from opqkd.qcore import philox_block
 
 SKEWED = "1,0,0.9486832980505138,0.31622776601683794,1,0,1,0"
 DEGENERATE = "1,0,1,0,1,0,1,0"
@@ -398,6 +399,28 @@ def test_round_columns_match_golden_at_n41():
             digest.update(columns.astype("<i8").tobytes())
         got[name] = digest.hexdigest()
     assert got == GOLDEN_CHUNKS_41
+
+
+# The first Philox block of a whole chunk of streams: one sha256 over the
+# little-endian words, per seed, for the ids 0 .. CHUNK_ROUNDS - 1 and for the
+# CHUNK_ROUNDS ids that end at 2^64 - 1, where the second key word wraps in
+# the later rounds.
+GOLDEN_PHILOX = {
+    (0, "low"): "93fad8284bd594cae485d00b01aff059d30795dbeb609071824fcde4138ac5d6",
+    (0, "high"): "2b30344853e08ef2b21f8780944a876cb93f6b4f34dcc512394d12e3c096f9d5",
+    (1, "low"): "85ecd5a919d2ec09c67e2526d641738a03304afb402848e522680b47f68a0030",
+    (1, "high"): "f23a0ab3b9edb91ea061c6324923d3839a95a3473b839c9b954e74d48e84eaec",
+    (2**64 - 1, "low"): "2ca9e3d96539e7996281ab673610018561c6c012ed15cecebc9baadad3ea997e",
+    (2**64 - 1, "high"): "84e915f63d6802e1c3cf86218554796269c237923f45998733773d271664a469",
+}
+
+
+def test_philox_chunks_match_golden():
+    ids = {"low": np.arange(CHUNK_ROUNDS, dtype=np.uint64),
+           "high": np.arange(2**64 - CHUNK_ROUNDS, 2**64, dtype=np.uint64)}
+    got = {(seed, name): _digest(philox_block(seed, ids[name]).astype("<u8").tobytes())
+           for seed, name in GOLDEN_PHILOX}
+    assert got == GOLDEN_PHILOX
 
 
 def test_exported_set_files_match_golden(tmp_path):
