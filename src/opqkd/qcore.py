@@ -394,6 +394,16 @@ def _support_groups(nonzero: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return group, nonzero[order[first]]
 
 
+def _label_runs(parts: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Where runs of consecutive labels with equal supports start, and each
+    particle's run supports as float32 columns."""
+    nonzero = np.concatenate([amps != 0 for amps in parts], axis=1)
+    start = np.ones(len(nonzero), dtype=bool)
+    np.any(nonzero[1:] != nonzero[:-1], axis=1, out=start[1:])
+    run = np.flatnonzero(start)
+    return run, nonzero[run].T.astype(np.float32).reshape(2, -1, len(run))
+
+
 def _candidate_rows(parts: tuple[np.ndarray, np.ndarray], kets: tuple[np.ndarray, np.ndarray],
                     i: np.ndarray, k: np.ndarray) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
     """The Born rows of kets[0][i[r]] (x) kets[1][k[r]] in the basis parts[0][l]
@@ -404,11 +414,10 @@ def _candidate_rows(parts: tuple[np.ndarray, np.ndarray], kets: tuple[np.ndarray
     in the dense row, as each term of one of its inner products has a zero
     factor, and adding 0.0 changes no entry: the last entry is the total."""
     m = len(parts[0])
-    groups = [_support_groups(amps != 0) for amps in parts]
-    # runs of consecutive labels whose parts share their supports; a pair
-    # meets a run where the overlap counts, small integers, are not 0
-    run = np.flatnonzero(np.diff(groups[0][0] * len(groups[1][1]) + groups[1][0], prepend=-1))
-    meet = [support[group[run]].T.astype(np.float32) for group, support in groups]
+    if not len(i):
+        return
+    # a pair meets a run where the overlap counts, small integers, are not 0
+    run, meet = _label_runs(parts)
     step = max(1, _BLOCK_FLOATS // len(run))
     found = [(lo, *np.nonzero((kets[0][i[lo:lo + step]] != 0) @ meet[0] * ((kets[1][k[lo:lo + step]] != 0) @ meet[1])))
              for lo in range(0, len(i), step)]
@@ -422,8 +431,8 @@ def _candidate_rows(parts: tuple[np.ndarray, np.ndarray], kets: tuple[np.ndarray
         used[index] = True
         if np.count_nonzero(used) * m <= _BLOCK_FLOATS:
             # few kets: the factors of every label, from one product
-            factors = np.abs(ket[used] @ amps.conj().T) ** 2
-            probs *= factors[np.repeat((np.cumsum(used) - 1)[index[pair]], size), label]
+            factors = ket[used] @ amps.conj().T
+            probs *= np.abs(factors[np.repeat((np.cumsum(used) - 1)[index[pair]], size), label]) ** 2
             continue
         # else each run's factors for the pairs that meet it, from one product
         order, first = _runs(met)
@@ -484,33 +493,59 @@ _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _PHILOX_ROUNDS = 10
 _LOW32 = np.uint64(0xFFFFFFFF)
 _32 = np.uint64(32)
+_M = np.array(_PHILOX_M, dtype=np.uint64)[:, None]
+_M_LIMBS = (_M, _M & _LOW32, _M >> _32)
+_W = np.array(_PHILOX_W, dtype=np.uint64)[:, None]
 
 
-def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # High and low words of the 128-bit product m * x, from 32-bit limbs.
-    m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
-    x_lo, x_hi = x & _LOW32, x >> _32
-    lo_lo, hi_lo, lo_hi = x_lo * m_lo, x_hi * m_lo, x_lo * m_hi
-    carry = ((lo_lo >> _32) + (hi_lo & _LOW32) + (lo_hi & _LOW32)) >> _32
-    return x_hi * m_hi + (hi_lo >> _32) + (lo_hi >> _32) + carry, x * np.uint64(m)
+def _mulhilo(x, limbs, hi, a, b, c):
+    # hi, x = the high and low words of m * x, by Hacker's Delight 8-2 on
+    # 32-bit limbs (m, m_lo, m_hi); a, b and c are scratch.
+    m, m_lo, m_hi = limbs
+    np.bitwise_and(x, _LOW32, out=a)
+    np.right_shift(x, _32, out=hi)
+    np.multiply(a, m_lo, out=b)
+    b >>= _32
+    np.multiply(hi, m_lo, out=c)
+    c += b
+    np.bitwise_and(c, _LOW32, out=b)
+    c >>= _32
+    a *= m_hi
+    b += a
+    b >>= _32
+    hi *= m_hi
+    hi += c
+    hi += b
+    x *= m
 
 
 def philox_block(seed: int, stream_ids: np.ndarray) -> np.ndarray:
     """First output block of every stream (seed, id): Philox4x64-10 with key
     (seed, id) and counter (1, 0, 0, 0). Row k holds word k of each stream,
-    the k-th 64-bit word RngStream(seed, id) draws."""
+    the k-th 64-bit word RngStream(seed, id) draws.
+
+    A round maps (c0, c1, c2, c3) to (hi(M1 c2) ^ c1 ^ k0, lo(M1 c2),
+    hi(M0 c0) ^ c3 ^ k1, lo(M0 c0)), then adds (W0, W1) to the key. Every
+    lane starts from the same counter, so round 0 gives (seed, 0, id, M0)
+    with no product, and round 1's M0 seed is one Python int for all lanes.
+    Integer arithmetic is exact, so the words are those of the full rounds."""
     ids = np.asarray(stream_ids, dtype=np.uint64)
-    key0, key1 = key_word("seed", seed), ids.copy()
-    c0, c1 = np.ones_like(ids), np.zeros_like(ids)
-    c2, c3 = np.zeros_like(ids), np.zeros_like(ids)
-    for r in range(_PHILOX_ROUNDS):
-        if r:
-            key0 = (key0 + _PHILOX_W[0]) % _MAX_UINT64
-            key1 += np.uint64(_PHILOX_W[1])
-        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
-        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
-        c0, c1, c2, c3 = hi1 ^ c1 ^ np.uint64(key0), lo1, hi0 ^ c3 ^ key1, lo0
-    return np.stack([c0, c1, c2, c3])
+    seed = key_word("seed", seed)
+    # rows: x is (c0, c2), low (c1, c3) and key (k0, k1)
+    x, low, key, hi, a, b, c = np.empty((7, 2, len(ids)), dtype=np.uint64)
+    high0, low[1] = divmod(_PHILOX_M[0] * seed, _MAX_UINT64)
+    key[0], key[1], x[1], low[0] = seed, ids, high0 ^ _PHILOX_M[0], ids
+    key += _W
+    _mulhilo(low[0], [v[1] for v in _M_LIMBS], x[0], a[0], b[0], c[0])
+    x ^= key
+    for _ in range(2, _PHILOX_ROUNDS):
+        key += _W
+        _mulhilo(x, _M_LIMBS, hi, a, b, c)
+        hi ^= low[::-1]
+        hi ^= key[::-1]
+        # hi holds the new (c2, c0), x the new (c3, c1)
+        x, low, hi = hi[::-1], x[::-1], low
+    return np.stack([x[0], low[0], x[1], low[1]])
 
 
 class StreamBlocks:

@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from opqkd import DominoLayout, SetParameters, StateSet, Tile, born_probabilities, states_from_tiles
-from opqkd.qcore import ATOL_EXACT, ATOL_STATE
+from opqkd.qcore import ATOL_EXACT, ATOL_STATE, _support_groups
 from opqkd.adversary import _conditional_bases
 
 
@@ -171,6 +171,16 @@ def dense_oblique_partners(amps) -> tuple[bool, ...]:
     overlaps = np.abs(amps.conj() @ amps.T)
     oblique = (overlaps > ATOL_STATE) & (np.abs(overlaps - 1.0) > ATOL_STATE)
     return tuple(np.any(oblique, axis=1).tolist())
+
+
+def support_group_runs(parts):
+    """The runs of consecutive labels whose parts share their supports on
+    both particles, from each particle's `_support_groups`: a run starts
+    where the pair of groups changes. Returns each run's first label and
+    each particle's run supports as float32 columns."""
+    groups = [_support_groups(amps != 0) for amps in parts]
+    run = np.flatnonzero(np.diff(groups[0][0] * len(groups[1][1]) + groups[1][0], prepend=-1))
+    return run, [support[group[run]].T.astype(np.float32) for group, support in groups]
 
 
 def layout_from_cellsets(n, cellsets, rows=None, cols=None, amplitudes=np.eye):

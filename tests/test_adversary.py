@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as hst
 
-from conftest import intercept_contributions_by_scalar_rows, random_parameters, random_tiling
+from conftest import (
+    intercept_contributions_by_scalar_rows,
+    random_parameters,
+    random_tiling,
+    set_from_cellsets,
+    support_group_runs,
+)
 from opqkd import (
     ConditionalInterceptResend,
     EveStrategy,
@@ -43,6 +49,7 @@ from opqkd.qcore import (
     StreamBlocks,
     _canonical_rows,
     _candidate_rows,
+    _label_runs,
     _cumulative,
     _outcome,
     born_probabilities,
@@ -334,6 +341,36 @@ def _dense_rows(parts, kets, i, k):
     return dense
 
 
+def _assert_runs_match_support_groups(parts):
+    # the run scan of neighbouring labels finds the runs of support groups
+    run, meet = _label_runs(parts)
+    ref_run, ref_meet = support_group_runs(parts)
+    assert run.dtype == ref_run.dtype and np.array_equal(run, ref_run)
+    for got, ref in zip(meet, ref_meet, strict=True):
+        assert got.dtype == ref.dtype and np.array_equal(got, ref)
+
+
+def test_label_runs_match_support_groups():
+    # the family, random 3 x 3 sets, and random tilings with basis-ket and
+    # discrete-Fourier tiles
+    sets = [build_symmetric(n) for n in range(3, 26)]
+    sets += [_random_3x3(seed) for seed in range(50)]
+    rng = np.random.default_rng(23)
+    for _ in range(40):
+        layout = random_tiling(rng, int(rng.integers(3, 9)), "random")
+        sets.append(StateSet(states_from_tiles(layout.n, layout.tiles), layout))
+        sets.append(set_from_cellsets(layout.n, [t.cells for t in layout.tiles]))
+    for s in sets:
+        _assert_runs_match_support_groups((s.amps_a, s.amps_b))
+
+
+def test_product_sample_with_no_lanes():
+    s = build_symmetric(3)
+    none = np.zeros(0, dtype=np.int64)
+    outcomes, flagged = _bob((s.amps_a, s.amps_b), (s.amps_a, s.amps_b), none, none, [], bob_basis(s))
+    assert outcomes.dtype == np.int64 and outcomes.shape == (0,) and flagged == 0
+
+
 @pytest.mark.parametrize("n", [3, 4, 5, 9])
 def test_kernel_bob_tables_equal_born_probabilities(n):
     # every lane a session would measure for Bob takes the outcome of
@@ -455,6 +492,7 @@ _TARGETS = ("draw", "entry", "label 0", "zero", "last", "total")
 @given(_measured_sets(), hst.data())
 def test_factorised_sampling_matches_joint_property(case, data):
     parts, kets, basis = case
+    _assert_runs_match_support_groups(parts)
     band = guard_band(parts[0].shape[1])
     lanes = data.draw(hst.lists(hst.tuples(
         hst.integers(0, len(kets[0]) - 1), hst.integers(0, len(kets[1]) - 1),

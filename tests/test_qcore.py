@@ -228,6 +228,12 @@ def test_philox_block_matches_numpy_streams(seed, ids):
         assert words[:, lane].tolist() == np.random.Philox(key=key).random_raw(4).tolist()
 
 
+def test_philox_block_of_no_streams():
+    for ids in ([], np.zeros(0, dtype=np.uint64)):
+        words = philox_block(2**64 - 1, ids)
+        assert words.shape == (4, 0) and words.dtype == np.uint64
+
+
 def test_stream_blocks_match_rngstream_draw_order():
     ids = np.arange(300)
     draws = StreamBlocks(philox_block(17, ids))
