@@ -385,18 +385,9 @@ def _search(cumulative: np.ndarray, rows: np.ndarray, target: np.ndarray) -> np.
     return pos - start + (flat[pos] <= target)
 
 
-def _support_groups(nonzero: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's group and each group's pattern: one `_runs` over the packed rows."""
-    packed = np.packbits(nonzero, axis=1)
-    order, first = _runs(packed.view(np.dtype((np.void, packed.shape[1]))).ravel())
-    group = np.empty(len(order), dtype=np.int64)
-    group[order] = np.cumsum(first) - 1
-    return group, nonzero[order[first]]
-
-
 def _label_runs(parts: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Where runs of consecutive labels with equal supports start, and each
-    particle's run supports as float32 columns."""
+    """Where runs of consecutive labels with equal supports start, and the
+    stack of each particle's run supports as float32 columns."""
     nonzero = np.concatenate([amps != 0 for amps in parts], axis=1)
     start = np.ones(len(nonzero), dtype=bool)
     np.any(nonzero[1:] != nonzero[:-1], axis=1, out=start[1:])
@@ -430,9 +421,14 @@ def _candidate_rows(parts: tuple[np.ndarray, np.ndarray], kets: tuple[np.ndarray
         used = np.zeros(len(ket), dtype=bool)
         used[index] = True
         if np.count_nonzero(used) * m <= _BLOCK_FLOATS:
-            # few kets: the factors of every label, from one product
-            factors = ket[used] @ amps.conj().T
-            probs *= np.abs(factors[np.repeat((np.cumsum(used) - 1)[index[pair]], size), label]) ** 2
+            # few kets: every label's factors from one product, squared for the
+            # candidates alone when they are under a third of it, which is then
+            # faster and never holds more memory at once than squaring it all
+            row = np.cumsum(used) - 1
+            if 3 * len(label) < np.count_nonzero(used) * m:
+                probs *= np.abs((ket[used] @ amps.conj().T)[np.repeat(row[index[pair]], size), label]) ** 2
+            else:
+                probs *= (np.abs(ket[used] @ amps.conj().T) ** 2)[np.repeat(row[index[pair]], size), label]
             continue
         # else each run's factors for the pairs that meet it, from one product
         order, first = _runs(met)

@@ -23,7 +23,6 @@ from .qcore import (
     MeasurementBasis,
     _checked,
     _runs,
-    _support_groups,
     near_identity,
     tensor,
 )
@@ -248,6 +247,15 @@ def _components(sa: np.ndarray, sb: np.ndarray) -> np.ndarray:
         if np.array_equal(new, label) or not new.any():
             return new
         label = new
+
+
+def _support_groups(nonzero: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's group and each group's pattern: one `_runs` over the packed rows."""
+    packed = np.packbits(nonzero, axis=1)
+    order, first = _runs(packed.view(np.dtype((np.void, packed.shape[1]))).ravel())
+    group = np.empty(len(order), dtype=np.int64)
+    group[order] = np.cumsum(first) - 1
+    return group, nonzero[order[first]]
 
 
 def _joint_gram_ok(amps_a: np.ndarray, amps_b: np.ndarray) -> bool:

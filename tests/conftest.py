@@ -20,7 +20,8 @@ import math
 import numpy as np
 
 from opqkd import DominoLayout, SetParameters, StateSet, Tile, born_probabilities, states_from_tiles
-from opqkd.qcore import ATOL_EXACT, ATOL_STATE, _support_groups
+from opqkd.qcore import ATOL_EXACT, ATOL_STATE
+from opqkd.stateset import _support_groups
 from opqkd.adversary import _conditional_bases
 
 
