@@ -421,14 +421,8 @@ def _candidate_rows(parts: tuple[np.ndarray, np.ndarray], kets: tuple[np.ndarray
         used = np.zeros(len(ket), dtype=bool)
         used[index] = True
         if np.count_nonzero(used) * m <= _BLOCK_FLOATS:
-            # few kets: every label's factors from one product, squared for the
-            # candidates alone when they are under a third of it, which is then
-            # faster and never holds more memory at once than squaring it all
-            row = np.cumsum(used) - 1
-            if 3 * len(label) < np.count_nonzero(used) * m:
-                probs *= np.abs((ket[used] @ amps.conj().T)[np.repeat(row[index[pair]], size), label]) ** 2
-            else:
-                probs *= (np.abs(ket[used] @ amps.conj().T) ** 2)[np.repeat(row[index[pair]], size), label]
+            # few kets: every label's factors from one product; square the candidates' alone
+            probs *= np.abs((ket[used] @ amps.conj().T)[np.repeat((np.cumsum(used) - 1)[index[pair]], size), label]) ** 2
             continue
         # else each run's factors for the pairs that meet it, from one product
         order, first = _runs(met)
