@@ -386,8 +386,8 @@ def _search(cumulative: np.ndarray, rows: np.ndarray, target: np.ndarray) -> np.
 
 
 def _label_runs(parts: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Where runs of consecutive labels with equal supports start, and the
-    stack of each particle's run supports as float32 columns."""
+    """First label of each run of labels with equal supports, and each
+    particle's run supports as float32 columns."""
     nonzero = np.concatenate([amps != 0 for amps in parts], axis=1)
     start = np.ones(len(nonzero), dtype=bool)
     np.any(nonzero[1:] != nonzero[:-1], axis=1, out=start[1:])
@@ -421,7 +421,7 @@ def _candidate_rows(parts: tuple[np.ndarray, np.ndarray], kets: tuple[np.ndarray
         used = np.zeros(len(ket), dtype=bool)
         used[index] = True
         if np.count_nonzero(used) * m <= _BLOCK_FLOATS:
-            # few kets: every label's factors from one product; square the candidates' alone
+            # few kets: the factors of every label, from one product
             probs *= np.abs((ket[used] @ amps.conj().T)[np.repeat((np.cumsum(used) - 1)[index[pair]], size), label]) ** 2
             continue
         # else each run's factors for the pairs that meet it, from one product
@@ -477,20 +477,18 @@ def product_sample(parts: tuple[np.ndarray, np.ndarray], kets: tuple[np.ndarray,
     return outcomes, len(flagged)
 
 
-# Philox4x64-10 (Salmon et al., SC'11): round multipliers and key increments.
-_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
-_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+# Philox4x64-10 (Salmon et al., SC'11). _PHILOX holds each row's round
+# multiplier, its low and high 32-bit limbs and its key increment, as ints:
+# numpy arrays made at import raise each run's peak RSS.
+_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX = (_M, [m & 0xFFFFFFFF for m in _M], [m >> 32 for m in _M], (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B))
 _PHILOX_ROUNDS = 10
 _LOW32 = np.uint64(0xFFFFFFFF)
 _32 = np.uint64(32)
-_M = np.array(_PHILOX_M, dtype=np.uint64)[:, None]
-_M_LIMBS = (_M, _M & _LOW32, _M >> _32)
-_W = np.array(_PHILOX_W, dtype=np.uint64)[:, None]
 
 
 def _mulhilo(x, limbs, hi, a, b, c):
-    # hi, x = the high and low words of m * x, by Hacker's Delight 8-2 on
-    # 32-bit limbs (m, m_lo, m_hi); a, b and c are scratch.
+    # hi, x = high and low words of m * x by Hacker's Delight 8-2; a, b, c: scratch
     m, m_lo, m_hi = limbs
     np.bitwise_and(x, _LOW32, out=a)
     np.right_shift(x, _32, out=hi)
@@ -517,20 +515,21 @@ def philox_block(seed: int, stream_ids: np.ndarray) -> np.ndarray:
     A round maps (c0, c1, c2, c3) to (hi(M1 c2) ^ c1 ^ k0, lo(M1 c2),
     hi(M0 c0) ^ c3 ^ k1, lo(M0 c0)), then adds (W0, W1) to the key. Every
     lane starts from the same counter, so round 0 gives (seed, 0, id, M0)
-    with no product, and round 1's M0 seed is one Python int for all lanes.
-    Integer arithmetic is exact, so the words are those of the full rounds."""
+    with no product, and round 1's M0 seed is one Python int for all lanes;
+    integer arithmetic is exact, so the words are those of the full rounds."""
     ids = np.asarray(stream_ids, dtype=np.uint64)
     seed = key_word("seed", seed)
     # rows: x is (c0, c2), low (c1, c3) and key (k0, k1)
     x, low, key, hi, a, b, c = np.empty((7, 2, len(ids)), dtype=np.uint64)
-    high0, low[1] = divmod(_PHILOX_M[0] * seed, _MAX_UINT64)
-    key[0], key[1], x[1], low[0] = seed, ids, high0 ^ _PHILOX_M[0], ids
-    key += _W
-    _mulhilo(low[0], [v[1] for v in _M_LIMBS], x[0], a[0], b[0], c[0])
+    *limbs, w = np.array(_PHILOX, dtype=np.uint64)[..., None]
+    high0, low[1] = divmod(_M[0] * seed, _MAX_UINT64)
+    key[0], key[1], x[1], low[0] = seed, ids, high0 ^ _M[0], ids
+    key += w
+    _mulhilo(low[0], [v[1] for v in limbs], x[0], a[0], b[0], c[0])
     x ^= key
     for _ in range(2, _PHILOX_ROUNDS):
-        key += _W
-        _mulhilo(x, _M_LIMBS, hi, a, b, c)
+        key += w
+        _mulhilo(x, limbs, hi, a, b, c)
         hi ^= low[::-1]
         hi ^= key[::-1]
         # hi holds the new (c2, c0), x the new (c3, c1)
