@@ -422,7 +422,8 @@ def _candidate_rows(parts: tuple[np.ndarray, np.ndarray], kets: tuple[np.ndarray
         used[index] = True
         if np.count_nonzero(used) * m <= _BLOCK_FLOATS:
             # few kets: the factors of every label, from one product
-            probs *= np.abs((ket[used] @ amps.conj().T)[np.repeat((np.cumsum(used) - 1)[index[pair]], size), label]) ** 2
+            probs *= np.abs((ket[used] @ amps.conj().T).ravel().take(
+                np.repeat((np.cumsum(used) - 1)[index[pair]] * m, size) + label)) ** 2
             continue
         # else each run's factors for the pairs that meet it, from one product
         order, first = _runs(met)
