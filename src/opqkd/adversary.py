@@ -8,7 +8,7 @@ they return is what Bob receives.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -290,7 +290,7 @@ class SubstituteCollective(EveStrategy):
 
         def step(alice, draws):
             k = draws.integers(n)
-            o, _ = product_sample(parts, held, alice, alice, draws.random(), partial(bob_basis, own))
+            o, _ = product_sample(parts, held, alice, alice, draws.random())
             return None, o, o, (k, o)
 
         return step, (np.stack([ket.amps for ket in self._substitutes]), self.state_set.amps_b)

@@ -28,12 +28,11 @@ from .adversary import (
 from .analysis import dimension_sweep, exact_treatment, exact_undetected_prob
 from .errors import InvalidSetError, UnsupportedDimensionError
 from .protocol import CHUNK_ROUNDS, ProtocolConfig, _one_lane, run_session, summarize_session
-from .qcore import Ket, MeasurementBasis, RngStream, born_probabilities, joint_amps, key_word
+from .qcore import MeasurementBasis, RngStream, born_probabilities, joint_amps, joint_rows, key_word
 from .stateset import (
     MEMORY_BUDGET_BYTES,
     SetParameters,
     StateSet,
-    bob_basis,
     build_3x3,
     build_symmetric,
     check_conditions,
@@ -362,7 +361,7 @@ def cmd_demo(args) -> int:
     out(f"  leg 2: outcome {b}, forwards {_format_ket(kets_b[key_b])}\n")
     out(f"  attacker guesses label {guess}\n")
 
-    probs = born_probabilities(Ket(joint_amps(kets_a[key_a], kets_b[key_b])), bob_basis(state_set))
+    probs = joint_rows((state_set.amps_a, state_set.amps_b), joint_amps(kets_a[key_a], kets_b[key_b]))
     dist = ", ".join(f"P({i})={p:.4f}" for i, p in enumerate(probs) if p > 1e-12)
     out(f"  receiver's joint measurement: {dist}\n")
     exact = exact_undetected_prob(state_set, "intercept")

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from types import SimpleNamespace
 from typing import Iterator
 
@@ -24,7 +24,7 @@ from .qcore import (
     projective_measure,
     tensor,
 )
-from .stateset import StateSet, bob_basis
+from .stateset import StateSet
 
 # Stream id reserved for the check-subset draw; round ids stay far below it.
 CHECK_STREAM_ID = 2**64 - 1
@@ -139,12 +139,12 @@ def _one_lane(rng: RngStream) -> SimpleNamespace:
 
 def _kernel_columns(state_set: StateSet, step, forwarded, draws) -> np.ndarray:
     """The kernel's columns, as `round_columns` yields them, for the rounds
-    whose draws `draws` hands out, one lane each, Bob's in `bob_basis(state_set)`."""
+    whose draws `draws` hands out, one lane each, Bob's in the set's basis."""
     alice = draws.integers(len(state_set))
     *eve, sent = step(alice, draws)
     columns = np.full((5, len(alice)), -1, dtype=np.int64)
     columns[0], (columns[1], _) = alice, product_sample(
-        (state_set.amps_a, state_set.amps_b), forwarded, *sent, draws.random(), partial(bob_basis, state_set))
+        (state_set.amps_a, state_set.amps_b), forwarded, *sent, draws.random())
     for row, column in enumerate(eve, start=2):
         if column is not None:
             columns[row] = column

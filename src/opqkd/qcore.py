@@ -70,8 +70,8 @@ def inner(x: Ket, y: Ket) -> complex:
 
 
 def joint_amps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Amplitudes of a (x) b from those of a and b, first factor major."""
-    return np.multiply.outer(a, b).reshape(-1)
+    """Amplitudes of a (x) b, first factor major; row by row for stacks."""
+    return (a[..., :, None] * b[..., None, :]).reshape(*a.shape[:-1], -1)
 
 
 def _checked(amps: np.ndarray) -> Ket:
@@ -308,7 +308,7 @@ def born_sample(rows: Callable[[np.ndarray], np.ndarray], size: int,
 
 _U = 2.0**-53
 # Entries formed at once by each step of `product_sample`: candidate masks,
-# factor products and the rows of a block of pairs.
+# factor products and the rows of a block of pairs or of flagged lanes.
 _BLOCK_FLOATS = 2**20
 
 
@@ -447,16 +447,26 @@ def _candidate_rows(parts: tuple[np.ndarray, np.ndarray], kets: tuple[np.ndarray
         yield lo, labels, block, np.cumsum(cumulative, axis=1, out=cumulative)
 
 
+def joint_rows(parts: tuple[np.ndarray, np.ndarray], amps: np.ndarray) -> np.ndarray:
+    """`born_rows` of the basis parts[0][l] (x) parts[1][l] for a stack of kets, as
+    the whole matrix gives them: from the conjugated parts, in blocks of rows of
+    about _BLOCK_FLOATS entries, never of one row, which may differ."""
+    m = len(parts[0])
+    probs = np.empty((*amps.shape[:-1], m))
+    for rows in np.array_split(np.arange(m), min(m // 2, -(-m * m // _BLOCK_FLOATS))):
+        probs[..., rows] = born_rows(joint_amps(parts[0][rows].conj(), parts[1][rows].conj()), amps)
+    return probs
+
+
 def product_sample(parts: tuple[np.ndarray, np.ndarray], kets: tuple[np.ndarray, np.ndarray],
-                   i: np.ndarray, k: np.ndarray, u: np.ndarray,
-                   joint: Callable[[], MeasurementBasis]) -> tuple[np.ndarray, int]:
+                   i: np.ndarray, k: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, int]:
     """Outcome of measuring kets[0][i[j]] (x) kets[1][k[j]] with uniform draw
     u[j] in the basis parts[0][l] (x) parts[1][l], per lane, and how many lanes
     were flagged; nothing is kept past the call. A lane is flagged when its
     target u*total lies within `guard_band` of an entry beside its outcome in
     the dense row (the previous candidate's, 0.0 before the first candidate,
-    -inf at label 0; its own, +inf at the last label), and then takes its
-    outcome from its joint row in `joint()`, as every other lane provably does."""
+    -inf at label 0; its own, +inf at the last label), and then takes its outcome
+    from its joint row, `joint_rows` of _BLOCK_FLOATS // m lanes at a time."""
     m, band = len(parts[0]), guard_band(parts[0].shape[1])
     keys = i * len(kets[1]) + k
     order, first = _runs(keys)
@@ -471,10 +481,10 @@ def product_sample(parts: tuple[np.ndarray, np.ndarray], kets: tuple[np.ndarray,
         below = np.where(pos > 0, cumulative[r, np.maximum(pos - 1, 0)], np.where(label > 0, 0.0, -np.inf))
         above = np.where(label < m - 1, cumulative[r, pos], np.inf)
         close[lanes] = (target - below <= band) | (above - target <= band)
-    flagged = np.flatnonzero(close)
-    for lane in flagged.tolist():
-        exact, total = _cumulative(born_rows(joint()._conj_matrix, joint_amps(kets[0][i[lane]], kets[1][k[lane]])))
-        outcomes[lane] = _outcome(exact, u[lane] * total)
+    flagged, step = np.flatnonzero(close), max(1, _BLOCK_FLOATS // m)
+    for lanes in (flagged[lo:lo + step] for lo in range(0, len(flagged), step)):
+        exact, total = _cumulative(joint_rows(parts, joint_amps(kets[0][i[lanes]], kets[1][k[lanes]])))
+        outcomes[lanes] = _search(exact, np.arange(len(lanes)), u[lanes] * total)
     return outcomes, len(flagged)
 
 

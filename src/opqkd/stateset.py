@@ -23,18 +23,16 @@ from .qcore import (
     MeasurementBasis,
     _checked,
     _runs,
+    joint_amps,
     near_identity,
     tensor,
 )
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
-# The most memory a run may use, and the largest n it allows. A set on the
-# n x n grid has n^2 states; Bob's rows hold each pair's candidates alone,
-# so the largest arrays are the joint matrix and its one conjugate in
-# `bob_basis`, 32 bytes per n^4, formed on a run's first flagged lane (at
-# n = 64 and 20,000 rounds: 66-170 MiB, 579-594 MiB with every lane flagged).
-# The budget would allow n of about 87; the ceiling stays at 64 until the
-# relabelled symmetry search of `validate --set-file` is bounded there.
+# The most memory a run may use, and the largest n it allows. Only the reference
+# `bob_basis` forms an n^2 x n^2 array: at n = 64 `simulate` peaks at 66-170 MiB
+# (20,000 rounds) and 90-107 MiB (200, every lane flagged). The ceiling stays at
+# 64 until the relabelled symmetry search of `validate --set-file` is bounded.
 MEMORY_BUDGET_BYTES = 2 * 2**30
 MAX_DIM = 64
 # Entries formed at once by each product of a set's checks.
@@ -289,9 +287,9 @@ class StateSet:
     """A complete orthogonal set of n^2 product states plus its layout.
 
     amps_a and amps_b stack the states' single-particle kets, one row per
-    state; the n^2 x n^2 `joint_matrix` is built on first use."""
+    state; `joint_matrix` forms the joint states on each call."""
 
-    __slots__ = ("states", "layout", "amps_a", "amps_b", "_joint", "_bob")
+    __slots__ = ("states", "layout", "amps_a", "amps_b")
 
     def __init__(self, states: Sequence[ProductState], layout: DominoLayout):
         states = tuple(states)
@@ -310,12 +308,8 @@ class StateSet:
         self._check_layout_consistency(amps_a, amps_b, layout)
         amps_a.setflags(write=False)
         amps_b.setflags(write=False)
-        object.__setattr__(self, "states", states)
-        object.__setattr__(self, "layout", layout)
-        object.__setattr__(self, "amps_a", amps_a)
-        object.__setattr__(self, "amps_b", amps_b)
-        object.__setattr__(self, "_joint", None)
-        object.__setattr__(self, "_bob", None)
+        for name, value in zip(self.__slots__, (states, layout, amps_a, amps_b)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError("StateSet is immutable")
@@ -332,11 +326,7 @@ class StateSet:
     @property
     def joint_matrix(self) -> np.ndarray:
         """The joint states, one row each: the numbers of `bob_basis`."""
-        if self._joint is None:
-            joint = (self.amps_a[:, :, None] * self.amps_b[:, None, :]).reshape(len(self), -1)
-            joint.setflags(write=False)
-            object.__setattr__(self, "_joint", joint)
-        return self._joint
+        return joint_amps(self.amps_a, self.amps_b)
 
     @property
     def n(self) -> int:
@@ -644,11 +634,9 @@ def is_four_fold_symmetric(layout: DominoLayout) -> bool:
 
 
 def bob_basis(state_set: StateSet) -> MeasurementBasis:
-    """The joint measurement that identifies every state in the set: the
-    joint matrix, whose Gram matrix StateSet checked, wrapped once per set."""
-    if state_set._bob is None:
-        object.__setattr__(state_set, "_bob", MeasurementBasis._checked(state_set.joint_matrix))
-    return state_set._bob
+    """The joint measurement that identifies every state, the per-leg reference: the
+    joint matrix, whose Gram matrix StateSet checked, formed anew, wrapped unchecked."""
+    return MeasurementBasis._checked(state_set.joint_matrix)
 
 
 _FORMAT_TAG = "opqkd-stateset-1"

@@ -38,7 +38,7 @@ from opqkd import (
     states_from_tiles,
     states_orthogonal,
 )
-from opqkd import adversary
+from opqkd import adversary, qcore
 from opqkd.adversary import STRATEGY_NAMES, _conditional_bases, canonical_variant
 from opqkd.analysis import exact_undetected_prob
 from opqkd.protocol import round_columns
@@ -53,9 +53,12 @@ from opqkd.qcore import (
     _cumulative,
     _outcome,
     born_probabilities,
+    born_rows,
     born_sample,
     canonical_phase,
     guard_band,
+    joint_amps,
+    joint_rows,
     philox_block,
     product_sample,
     projective_measure,
@@ -324,9 +327,9 @@ def _joint_outcome(basis, ket_a, ket_b, u):
     return projective_measure(tensor(Ket(ket_a), Ket(ket_b)), basis, rng)[0]
 
 
-def _bob(parts, kets, i, k, u, basis):
+def _bob(parts, kets, i, k, u):
     # Bob's measurement of kets[0][i] (x) kets[1][k] in the basis of parts
-    return product_sample(parts, kets, np.asarray(i), np.asarray(k), np.asarray(u, dtype=float), lambda: basis)
+    return product_sample(parts, kets, np.asarray(i), np.asarray(k), np.asarray(u, dtype=float))
 
 
 def _dense_rows(parts, kets, i, k):
@@ -367,8 +370,36 @@ def test_label_runs_match_support_groups():
 def test_product_sample_with_no_lanes():
     s = build_symmetric(3)
     none = np.zeros(0, dtype=np.int64)
-    outcomes, flagged = _bob((s.amps_a, s.amps_b), (s.amps_a, s.amps_b), none, none, [], bob_basis(s))
+    outcomes, flagged = _bob((s.amps_a, s.amps_b), (s.amps_a, s.amps_b), none, none, [])
     assert outcomes.dtype == np.int64 and outcomes.shape == (0,) and flagged == 0
+
+
+def test_joint_rows_match_the_whole_product(monkeypatch):
+    # blocks of two rows up to all m rows give the bytes of born_rows on the
+    # whole conjugated joint matrix, for stacks of the set's own kets and of
+    # random product kets
+    sets = [build_symmetric(n) for n in range(3, 26)] + [_random_3x3(seed) for seed in range(30)]
+    rng = np.random.default_rng(29)
+    for s in sets:
+        m, parts, whole = len(s), (s.amps_a, s.amps_b), bob_basis(s)._conj_matrix
+        a, b = rng.standard_normal((2, 6, s.n, 2)) @ (1.0, 1.0j)
+        a, b = a / np.linalg.norm(a, axis=1)[:, None], b / np.linalg.norm(b, axis=1)[:, None]
+        for rows in sorted({2, 3, m // 3, m // 2, m - 1, m}):
+            monkeypatch.setattr(qcore, "_BLOCK_FLOATS", rows * m)
+            for amps in (s.joint_matrix[::max(1, m // 6)], joint_amps(a, b)):
+                assert joint_rows(parts, amps).tobytes() == born_rows(whole, amps).tobytes(), (s.n, rows)
+        assert joint_rows(parts, np.zeros((0, m), dtype=complex)).shape == (0, m)
+
+
+def test_product_sample_with_no_flagged_lanes_forms_no_joint_rows(monkeypatch):
+    s = build_symmetric(5)
+    formed = []
+    monkeypatch.setattr(qcore, "joint_rows", lambda *args: formed.append(args))
+    labels = np.arange(len(s)).repeat(40)
+    u = StreamBlocks(philox_block(5, np.arange(len(labels)))).random()
+    outcomes, flagged = _bob((s.amps_a, s.amps_b), (s.amps_a, s.amps_b), labels, labels, u)
+    assert flagged == 0 and not formed
+    assert outcomes.tolist() == labels.tolist()
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 9])
@@ -384,7 +415,7 @@ def test_kernel_bob_tables_equal_born_probabilities(n):
         draws = StreamBlocks(philox_block(n, np.arange(3000)))
         _, _, _, (i, k) = step(draws.integers(n * n), draws)
         u = draws.random()
-        outcomes, _ = _bob(parts, kets, i, k, u, basis)
+        outcomes, _ = _bob(parts, kets, i, k, u)
         for lane in range(len(u)):
             assert outcomes[lane] == _joint_outcome(basis, kets[0][i[lane]], kets[1][k[lane]], u[lane])
         pairs = np.unique(np.stack([i, k]), axis=1)
@@ -428,7 +459,7 @@ def test_target_on_a_cumsum_entry_is_flagged(n):
              if 0.0 < entry < cumulative[r, -1] * (1 - 1e-9)]
     assert lanes
     li, lk, lu = (np.array(column) for column in zip(*lanes))
-    outcomes, flagged = _bob(parts, kets, li, lk, lu, basis)
+    outcomes, flagged = _bob(parts, kets, li, lk, lu)
     assert flagged == len(lanes)
     for lane, (a, b, u) in enumerate(lanes):
         assert outcomes[lane] == _joint_outcome(basis, kets[0][a], kets[1][b], u)
@@ -506,8 +537,8 @@ def test_factorised_sampling_matches_joint_property(case, data):
         _on_boundary(total[r], entry[target](r, draw)) if target in entry
         else {"draw": draw, "zero": 0.0, "total": 1.0}[target]
         for r, (_, _, draw, target) in enumerate(lanes)])
-    outcomes, flagged = _bob(parts, kets, i, k, u, basis)
-    assert flagged == sum(_bob(parts, kets, i[r:r + 1], k[r:r + 1], u[r:r + 1], basis)[1] for r in range(len(u)))
+    outcomes, flagged = _bob(parts, kets, i, k, u)
+    assert flagged == sum(_bob(parts, kets, i[r:r + 1], k[r:r + 1], u[r:r + 1])[1] for r in range(len(u)))
     for r in range(len(lanes)):
         assert outcomes[r] == _joint_outcome(basis, kets[0][i[r]], kets[1][k[r]], u[r])
         # the flag the dense row gives, from the entries beside its outcome
@@ -516,7 +547,7 @@ def test_factorised_sampling_matches_joint_property(case, data):
         below = dense[r, o - 1] if o > 0 else -np.inf
         above = dense[r, o] if o < m - 1 else np.inf
         expected = target - below <= band or above - target <= band
-        assert _bob(parts, kets, i[r:r + 1], k[r:r + 1], u[r:r + 1], basis)[1] == expected
+        assert _bob(parts, kets, i[r:r + 1], k[r:r + 1], u[r:r + 1])[1] == expected
         if not expected:
             assert outcomes[r] == o
 

@@ -155,9 +155,9 @@ def test_every_strategy_defines_its_own_kernel():
 _HOOKS = {"begin_round", "first_leg", "second_leg", "finish_round"}
 
 
-def test_only_run_round_plays_the_per_leg_hooks():
-    # the hooks are the one-round reference: no other code of the package
-    # names them, so nothing else can play a round through them
+def _users(names):
+    # the functions of the package ("module.Class.function") whose code
+    # names any of `names`, as a variable or an attribute
     users = set()
 
     def visit(node, where):
@@ -165,14 +165,27 @@ def test_only_run_round_plays_the_per_leg_hooks():
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, f"{where}.{child.name}")
                 continue
-            if (isinstance(child, ast.Attribute) and child.attr in _HOOKS
-                    or isinstance(child, ast.Name) and child.id in _HOOKS):
+            if (isinstance(child, ast.Attribute) and child.attr in names
+                    or isinstance(child, ast.Name) and child.id in names):
                 users.add(where)
             visit(child, where)
 
     for path in sorted(Path(protocol.__file__).parent.glob("*.py")):
         visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
-    assert users == {"protocol.run_round"}
+    return users
+
+
+def test_only_run_round_plays_the_per_leg_hooks():
+    # the hooks are the one-round reference: no other code of the package
+    # names them, so nothing else can play a round through them
+    assert _users(_HOOKS) == {"protocol.run_round"}
+
+
+def test_only_the_reference_names_the_joint_basis():
+    # the n^2 x n^2 joint basis is the per-leg reference's alone: sessions,
+    # estimates and demo measure with joint_rows, from the set's parts
+    assert _users({"joint_matrix"}) == {"stateset.bob_basis"}
+    assert _users({"bob_basis"}) == {"adversary.SubstituteCollective._joint_basis"}
 
 
 def test_detection_probability_requires_checked_rounds():
@@ -326,46 +339,74 @@ _FORCED_COLUMNS = {
 }
 
 
-@pytest.mark.parametrize("n", [3, 5, 9])
-def test_forced_flags_keep_every_outcome(monkeypatch, n):
+def _assert_forced_columns(monkeypatch, n, rounds, pinned):
+    # every lane flagged, each strategy's columns are the unflagged ones,
+    # and their sha256 the pinned one
     s = build_symmetric(n)
-    plain = {name: next(round_columns(s, make_strategy(name, s), 7, 600)) for name in STRATEGY_NAMES}
+    plain = {name: next(round_columns(s, make_strategy(name, s), 7, rounds)) for name in STRATEGY_NAMES}
     _force_flags(monkeypatch)
     for name in STRATEGY_NAMES:
-        (forced,) = round_columns(s, make_strategy(name, s), 7, 600)
+        (forced,) = round_columns(s, make_strategy(name, s), 7, rounds)
         assert forced.tolist() == plain[name].tolist(), name
         digest = hashlib.sha256(forced.astype("<i8").tobytes()).hexdigest()
-        assert digest[:16] == _FORCED_COLUMNS[n, name], name
+        assert digest[:16] == pinned[n, name], name
 
 
-def test_forced_flags_form_one_conjugate_per_set(monkeypatch):
-    # the substitute attack's two measurements take flagged lanes' joint
-    # rows from the conjugate that bob_basis holds for the set, not one copy each
-    s = build_symmetric(5)
-    conjugates = []
-    real_rows = qcore.born_rows
+@pytest.mark.parametrize("n", [3, 5, 9])
+def test_forced_flags_keep_every_outcome(monkeypatch, n):
+    _assert_forced_columns(monkeypatch, n, 600, _FORCED_COLUMNS)
 
-    def spy(conj, amps):
-        conjugates.append(conj)
-        return real_rows(conj, amps)
 
+@pytest.mark.parametrize("n", [3, 5, 9])
+def test_forced_flags_keep_every_outcome_in_small_blocks(monkeypatch, n):
+    # joint rows in blocks of two or three rows, flagged lanes in groups of three
+    monkeypatch.setattr(qcore, "_BLOCK_FLOATS", 3 * n * n)
+    _assert_forced_columns(monkeypatch, n, 600, _FORCED_COLUMNS)
+
+
+# rounds 0..39 with seed 7 at n = 41, every lane flagged: three blocks of
+# joint rows; pinned while each set still held its whole joint matrix
+_FORCED_COLUMNS_41 = {
+    (41, "none"): "539bd127d58dbb37", (41, "intercept"): "e9d000a522e65f4d",
+    (41, "complementary"): "377155fd3c9281a4", (41, "substitute"): "d7822fdc39b60d15",
+}
+
+
+def test_forced_flags_at_n_41_keep_every_outcome(monkeypatch):
+    _assert_forced_columns(monkeypatch, 41, 40, _FORCED_COLUMNS_41)
+
+
+def test_forced_flag_estimate_at_n_41_forms_no_joint_matrix(monkeypatch):
+    # flagged lanes take their joint rows from the parts a block at a time:
+    # the whole joint matrix and its conjugate would take 86 MiB
+    s = build_symmetric(41)
     _force_flags(monkeypatch)
-    monkeypatch.setattr(qcore, "born_rows", spy)
-    monte_carlo_estimate(s, "substitute", 200, seed=3)
-    assert len(conjugates) == 2 * 200
-    assert all(conj is bob_basis(s)._conj_matrix for conj in conjugates)
+    tracemalloc.start()
+    monte_carlo_estimate(s, "substitute", 40)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 48 * 2**20
 
 
-def test_bob_chunk_at_n_64_forms_no_dense_rows():
+def test_bob_chunk_at_n_64_forms_no_dense_rows(monkeypatch):
     # Bob's rows hold each pair's candidates alone: n^2-wide rows for a
     # chunk and factor tables for the set's kets peaked at 596 MiB
     s = build_symmetric(64)
+    flagged = []
+    real_sample = protocol.product_sample
+
+    def spy(*args):
+        outcomes, count = real_sample(*args)
+        flagged.append(count)
+        return outcomes, count
+
+    monkeypatch.setattr(protocol, "product_sample", spy)
     tracemalloc.start()
     next(round_columns(s, EveStrategy(), 1, protocol.CHUNK_ROUNDS))
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     assert peak < 32 * 2**20
-    assert s._joint is None  # no lane was flagged
+    assert flagged == [0]
 
 
 def test_bob_keeps_no_rows_between_calls(monkeypatch):
