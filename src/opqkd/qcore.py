@@ -71,7 +71,7 @@ def inner(x: Ket, y: Ket) -> complex:
 
 def joint_amps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Amplitudes of a (x) b, first factor major; row by row for stacks."""
-    return (a[..., :, None] * b[..., None, :]).reshape(*a.shape[:-1], -1)
+    return (a[..., :, None] * b[..., None, :]).reshape(*a.shape[:-1], a.shape[-1] * b.shape[-1])
 
 
 def _checked(amps: np.ndarray) -> Ket:
@@ -80,6 +80,13 @@ def _checked(amps: np.ndarray) -> Ket:
     ket = object.__new__(Ket)
     object.__setattr__(ket, "amps", amps)
     return ket
+
+
+def _unit_kets(dim: int) -> tuple[Ket, ...]:
+    """basis_ket(dim, k) for every k, the rows of one identity wrapped unchecked."""
+    if dim < 2:
+        raise ValueError("a ket needs a one-dimensional vector of length >= 2")
+    return tuple(_checked(row) for row in np.eye(dim, dtype=np.complex128))
 
 
 def tensor(a: Ket, b: Ket) -> Ket:
@@ -175,7 +182,7 @@ class MeasurementBasis:
 
     @classmethod
     def computational(cls, dim: int) -> "MeasurementBasis":
-        return cls([basis_ket(dim, k) for k in range(dim)])
+        return cls(_unit_kets(dim))
 
     @property
     def dim(self) -> int:
@@ -273,7 +280,12 @@ def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     order = np.argsort(keys, kind="stable")
     ordered = keys[order]
     first = np.ones(len(keys), dtype=bool)
-    first[1:] = ordered[1:] != ordered[:-1]
+    if keys.dtype.kind == "V":  # != on void keys is slow: compare their bytes as words
+        size = 8 if keys.itemsize % 8 == 0 else 1
+        words = ordered.view(f"u{size}").reshape(len(keys), keys.itemsize // size)
+        np.any(words[1:] != words[:-1], axis=1, out=first[1:])
+    else:
+        first[1:] = ordered[1:] != ordered[:-1]
     return order, first
 
 

@@ -10,12 +10,19 @@ one basis at a time, so the batched sum can be held to its bytes. The
 reference writer builds a set file with `json.dumps`, so the library's
 writer can be held to the same bytes. The dense set checks form whole Gram
 matrices, so the checks grouped by support can be held to their verdicts.
+The dense inference table forms the intercept's whole posterior, so the table
+built from its nonzero terms can be held to its bytes, and the BLAS-thread
+helper reruns such a byte check with one and with two BLAS threads.
 """
 from __future__ import annotations
 
 import itertools
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 
@@ -129,6 +136,32 @@ def intercept_contributions_by_scalar_rows(state_set) -> list[float]:
             w * w * math.fsum(p * p for p in born_probabilities(st.ket_b, basis))
             for w, basis in zip(weights, bases) if w))
     return contributions
+
+
+def dense_inferred(mats, amps_a, amps_b) -> np.ndarray:
+    """The intercept's inference table from its whole posterior: one dense
+    product per A outcome m, posterior[m, v, i] = |<m|A_i>|^2 |<v|B_i>|^2 for
+    row v of mats[m] conjugated, and the first argmax over the labels i."""
+    weight_a = np.abs(amps_a.T) ** 2
+    weight_b = np.stack([np.abs(mat.conj() @ amps_b.T) ** 2 for mat in mats])
+    return np.argmax(weight_a[:, None, :] * weight_b, axis=2)
+
+
+_ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def assert_bytes_under_blas_threads(check) -> None:
+    """Run `check`, a function of a test module that takes no arguments and
+    asserts that two ways of forming numbers give the same bytes, in a fresh
+    interpreter under OPENBLAS_NUM_THREADS=1 and again under =2, so a claim
+    that rests on BLAS bytes is tied to the BLAS in use with either count."""
+    path = os.pathsep.join([str(_ROOT / "src"), str(_ROOT / "tests"), os.environ.get("PYTHONPATH", "")])
+    for threads in ("1", "2"):
+        done = subprocess.run(
+            [sys.executable, "-c", f"from {check.__module__} import {check.__name__}; {check.__name__}()"],
+            env=dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path),
+            capture_output=True, text=True, timeout=600)
+        assert done.returncode == 0, f"OPENBLAS_NUM_THREADS={threads}:\n{done.stderr}"
 
 
 def reference_stateset_text(state_set) -> str:

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as hst
 
 from conftest import (
+    assert_bytes_under_blas_threads,
+    dense_inferred,
     intercept_contributions_by_scalar_rows,
     random_parameters,
     random_tiling,
@@ -374,10 +376,10 @@ def test_product_sample_with_no_lanes():
     assert outcomes.dtype == np.int64 and outcomes.shape == (0,) and flagged == 0
 
 
-def test_joint_rows_match_the_whole_product(monkeypatch):
+def _assert_joint_rows_match_the_whole_product(block_floats):
     # blocks of two rows up to all m rows give the bytes of born_rows on the
     # whole conjugated joint matrix, for stacks of the set's own kets and of
-    # random product kets
+    # random product kets; block_floats(f) sets qcore._BLOCK_FLOATS to f
     sets = [build_symmetric(n) for n in range(3, 26)] + [_random_3x3(seed) for seed in range(30)]
     rng = np.random.default_rng(29)
     for s in sets:
@@ -385,10 +387,28 @@ def test_joint_rows_match_the_whole_product(monkeypatch):
         a, b = rng.standard_normal((2, 6, s.n, 2)) @ (1.0, 1.0j)
         a, b = a / np.linalg.norm(a, axis=1)[:, None], b / np.linalg.norm(b, axis=1)[:, None]
         for rows in sorted({2, 3, m // 3, m // 2, m - 1, m}):
-            monkeypatch.setattr(qcore, "_BLOCK_FLOATS", rows * m)
+            block_floats(rows * m)
             for amps in (s.joint_matrix[::max(1, m // 6)], joint_amps(a, b)):
                 assert joint_rows(parts, amps).tobytes() == born_rows(whole, amps).tobytes(), (s.n, rows)
         assert joint_rows(parts, np.zeros((0, m), dtype=complex)).shape == (0, m)
+
+
+def test_joint_rows_match_the_whole_product(monkeypatch):
+    _assert_joint_rows_match_the_whole_product(
+        lambda floats: monkeypatch.setattr(qcore, "_BLOCK_FLOATS", floats))
+
+
+def check_joint_rows_bytes():
+    # the check above in a process of its own, for assert_bytes_under_blas_threads
+    saved = qcore._BLOCK_FLOATS
+    try:
+        _assert_joint_rows_match_the_whole_product(lambda floats: setattr(qcore, "_BLOCK_FLOATS", floats))
+    finally:
+        qcore._BLOCK_FLOATS = saved
+
+
+def test_joint_rows_match_the_whole_product_with_one_and_two_blas_threads():
+    assert_bytes_under_blas_threads(check_joint_rows_bytes)
 
 
 def test_product_sample_with_no_flagged_lanes_forms_no_joint_rows(monkeypatch):
@@ -643,22 +663,121 @@ def test_attacker_born_tables_equal_projective_measure_property(data):
     assert list(zip(a.tolist(), b.tolist())) == expected
 
 
+def _assert_inferred_is_the_dense_argmax(s) -> bool:
+    # the strategy's table equals the first argmax of the whole posterior,
+    # byte for byte; False when the set admits no conditional bases
+    try:
+        eve = ConditionalInterceptResend(s)
+    except InvalidSetError:
+        return False
+    whole = dense_inferred([b.matrix for b in eve._b_bases], s.amps_a, s.amps_b)
+    assert eve._inferred.tobytes() == whole.tobytes(), s.n
+    return True
+
+
 def test_inferred_table_is_the_argmax_of_the_whole_posterior():
-    sets = [build_symmetric(n) for n in range(3, 10)]
-    sets += [_random_3x3(seed) for seed in range(20)]
+    for n in [*range(3, 42), 64]:
+        assert _assert_inferred_is_the_dense_argmax(build_symmetric(n))
+    built = sum(_assert_inferred_is_the_dense_argmax(_random_3x3(seed)) for seed in range(20))
+    assert built > 10
+
+
+def _tiling_sets(layout):
+    # the tiling with unit amplitudes, and with discrete-Fourier amplitudes
+    return (StateSet(states_from_tiles(layout.n, layout.tiles), layout),
+            set_from_cellsets(layout.n, [t.cells for t in layout.tiles]))
+
+
+@pytest.mark.parametrize("kind", ["random", "quarter", "transpose", "singletons", "three-cycle"])
+def test_inferred_table_is_the_dense_argmax_on_every_tiling_kind(kind):
+    rng = np.random.default_rng(31)
     built = 0
-    for s in sets:
-        try:
-            eve = ConditionalInterceptResend(s)
-        except InvalidSetError:
-            continue
-        built += 1
-        # posterior[m, v, i] = |<m|A_i>|^2 |<v|B_i>|^2, v in the basis matched to m
-        weight_a = np.abs(s.amps_a.T) ** 2
-        weight_b = np.stack([np.abs(b.matrix.conj() @ s.amps_b.T) ** 2 for b in eve._b_bases])
-        whole = np.argmax(weight_a[:, None, :] * weight_b, axis=2)
-        assert eve._inferred.tobytes() == whole.tobytes()
-    assert built > len(sets) // 2
+    for _ in range(12):
+        for s in _tiling_sets(random_tiling(rng, int(rng.integers(3, 12)), kind)):
+            built += _assert_inferred_is_the_dense_argmax(s)
+    assert built >= 12
+
+
+@settings(max_examples=40, deadline=None)
+@given(hst.integers(0, 2**32 - 1), hst.integers(3, 10), hst.booleans())
+def test_inferred_table_is_the_dense_argmax_on_random_tilings_property(seed, n, unit):
+    layout = random_tiling(np.random.default_rng(seed), n, "random")
+    _assert_inferred_is_the_dense_argmax(_tiling_sets(layout)[0 if unit else 1])
+
+
+def _table_inputs(amps_a, amps_b, mats):
+    amps_a, amps_b, mats = (np.asarray(x, dtype=complex) for x in (amps_a, amps_b, mats))
+    return mats.conj(), amps_a, amps_b, adversary._byte_classes(amps_b)[2]
+
+
+def test_inference_table_pads_an_outcome_with_one_class():
+    # each outcome meets only labels whose B-parts share one byte class, so
+    # its product has one real column and a padded second one
+    rng = np.random.default_rng(37)
+    b = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    amps_a = [[1, 0], [1, 0], [0, 1], [0, 1]]
+    amps_b = [b[0], b[0], b[1], b[1]]
+    mats = np.linalg.qr(rng.standard_normal((2, 2, 2)) + 1j * rng.standard_normal((2, 2, 2)))[0]
+    conj, amps_a, amps_b, alike = _table_inputs(amps_a, amps_b, mats)
+    table = adversary._inference_table(conj, amps_a, amps_b, alike)
+    assert table.tobytes() == dense_inferred(mats, amps_a, amps_b).tobytes()
+    assert table.tolist() == [[0, 0], [2, 2]]  # equal scores: the first label
+
+
+def test_inference_table_gives_label_0_where_every_score_is_0():
+    # row v = 1 of outcome 1 meets labels 1 and 2: B_1 is orthogonal to it,
+    # and label 2's nonzero amplitude 1e-200 squares to a weight of 0
+    amps_a = [[1, 0], [0, 1], [1, 1e-200]]
+    amps_b = [[1, 0], [1, 0], [0, 1]]
+    mats = [np.eye(2), np.eye(2)]
+    conj, amps_a, amps_b, alike = _table_inputs(amps_a, amps_b, mats)
+    table = adversary._inference_table(conj, amps_a, amps_b, alike)
+    assert table.tobytes() == dense_inferred(np.asarray(mats, dtype=complex), amps_a, amps_b).tobytes()
+    assert table.tolist() == [[0, 2], [1, 0]]
+
+
+def check_inference_table_bytes():
+    # On the family, the gathered-column products the table takes (one part
+    # per byte class of an outcome's labels, at least two columns) equal the
+    # columns of the dense product as numbers, and their squared moduli, all
+    # the table reads of them, as bytes; a zero may differ in sign. On tilings
+    # with discrete-Fourier amplitudes a few entries differ in the last bit,
+    # so there the table is held to the dense argmax alone. For
+    # assert_bytes_under_blas_threads.
+    for n in (3, 4, 9, 16, 25, 41, 64):
+        s = build_symmetric(n)
+        conj = np.stack([b.matrix for b in ConditionalInterceptResend(s)._b_bases]).conj()
+        alike = adversary._byte_classes(s.amps_b)[2]
+        met = [np.unique(alike[np.flatnonzero(s.amps_a[:, m])]) for m in range(n)]
+        cols = np.stack([np.resize(c, max(2, max(map(len, met)))) for c in met])
+        gathered = np.matmul(conj, s.amps_b[cols].transpose(0, 2, 1))
+        for m in range(n):
+            dense = (conj[m] @ s.amps_b.T)[:, cols[m]]
+            assert np.array_equal(gathered[m], dense), (n, m)
+            assert (np.abs(gathered[m]) ** 2).tobytes() == (np.abs(dense) ** 2).tobytes(), (n, m)
+        assert _assert_inferred_is_the_dense_argmax(s)
+    rng = np.random.default_rng(41)
+    for kind in ("random", "singletons"):
+        for _ in range(6):
+            for s in _tiling_sets(random_tiling(rng, int(rng.integers(3, 12)), kind)):
+                _assert_inferred_is_the_dense_argmax(s)
+
+
+def test_inference_table_bytes_with_one_and_two_blas_threads():
+    assert_bytes_under_blas_threads(check_inference_table_bytes)
+
+
+def test_intercept_kernel_on_another_set_takes_that_sets_byte_classes():
+    # the classes a strategy keeps are its own set's; a kernel for another
+    # set of the same dimension forms that set's
+    s = build_symmetric(5)
+    other = set_from_cellsets(5, [t.cells for t in random_tiling(np.random.default_rng(53), 5, "random").tiles])
+    eve, own = ConditionalInterceptResend(s), ConditionalInterceptResend(s)
+    own.state_set, own._classes = other, adversary._byte_classes(other.amps_b)
+    (columns,) = round_columns(other, eve, 8, 400)
+    (expected,) = round_columns(other, own, 8, 400)
+    assert columns.tobytes() == expected.tobytes()
+
 
 def test_kernels_match_hooks_round_by_round():
     # columns for each strategy equal run_round on each round's own stream

@@ -16,7 +16,8 @@ from opqkd import (
     states_orthogonal,
     tensor,
 )
-from opqkd.qcore import StreamBlocks, philox_block
+from opqkd import qcore
+from opqkd.qcore import StreamBlocks, _runs, _unit_kets, joint_amps, philox_block
 
 
 def random_ket(rng, dim):
@@ -136,6 +137,44 @@ def test_born_probabilities_sum_to_one():
 def test_born_probabilities_dimension_mismatch():
     with pytest.raises(ValueError):
         born_probabilities(basis_ket(4, 0), MeasurementBasis.computational(3))
+
+
+def test_computational_basis_and_unit_kets_hold_the_bytes_of_basis_ket(monkeypatch):
+    # rows of one identity, wrapped unchecked, through MeasurementBasis.__init__ once
+    built = []
+    init = qcore.MeasurementBasis.__init__
+    monkeypatch.setattr(qcore.MeasurementBasis, "__init__", lambda self, v: built.append(1) or init(self, v))
+    for dim in (2, 3, 9):
+        kets = _unit_kets(dim)
+        assert [k.amps.tobytes() for k in kets] == [basis_ket(dim, k).amps.tobytes() for k in range(dim)]
+        assert all(not k.amps.flags.writeable for k in kets)
+        basis = MeasurementBasis.computational(dim)
+        assert basis.matrix.tobytes() == np.stack([basis_ket(dim, k).amps for k in range(dim)]).tobytes()
+    assert len(built) == 3
+    for dim in (0, 1):
+        with pytest.raises(ValueError):
+            MeasurementBasis.computational(dim)
+
+
+def test_joint_amps_of_an_empty_stack_and_of_kets():
+    assert joint_amps(np.zeros((0, 3)), np.zeros((0, 3))).shape == (0, 9)
+    assert joint_amps(np.zeros((2, 0, 3)), np.zeros((2, 0, 4))).shape == (2, 0, 12)
+    rng = np.random.default_rng(43)
+    a, b = rng.standard_normal((2, 5, 3)) + 1j * rng.standard_normal((2, 5, 3))
+    assert joint_amps(a, b).tobytes() == np.stack([np.kron(x, y) for x, y in zip(a, b)]).tobytes()
+    assert joint_amps(a[0], b[0]).tobytes() == np.kron(a[0], b[0]).tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.complex128, np.uint8])
+def test_runs_on_void_keys_match_the_void_comparison(dtype):
+    # rows compared as words or bytes find the runs that != on void keys finds
+    rng = np.random.default_rng(47)
+    for rows, width in ((0, 3), (1, 3), (40, 3), (40, 5)):
+        amps = rng.integers(0, 3, (rows, width)).astype(dtype)
+        keys = amps.view(np.dtype((np.void, amps.itemsize * width))).ravel()
+        order, first = _runs(keys)
+        assert order.tolist() == np.argsort(keys, kind="stable").tolist()
+        assert first.tolist() == [True, *(keys[order][1:] != keys[order][:-1]).tolist()][:rows]
 
 
 def test_projective_measure_deterministic_on_eigenstate():
