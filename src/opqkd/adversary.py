@@ -84,32 +84,33 @@ def conditional_b_basis(state_set: StateSet, a_outcome: int) -> MeasurementBasis
     return _conditional_bases(state_set, (a_outcome,))[0]
 
 
-def _byte_classes(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The rows' classes of equal bytes: `_runs` of the rows, which runs each
-    class in label order, and for each row the first row of its class."""
-    order, first = _runs(amps.view(np.dtype((np.void, amps.itemsize * amps.shape[1]))).ravel())
-    alike = np.empty(len(order), dtype=np.int64)
-    alike[order] = order[first][np.cumsum(first) - 1]
-    return order, first, alike
+def _conditional_bases(state_set: StateSet, outcomes: Sequence[int]) -> tuple[MeasurementBasis, ...]:
+    return _conditional_parts(state_set, outcomes)[0]
 
 
-def _conditional_bases(state_set: StateSet, outcomes: Sequence[int],
-                       classes: tuple[np.ndarray, ...] | None = None) -> tuple[MeasurementBasis, ...]:
-    # conditional_b_basis for each outcome; np.hypot is the scalar abs. Of the
-    # B-parts overlapping an outcome, one equal byte for byte to an earlier
-    # one is dropped first: it overlaps the others as that one does. The byte
-    # classes (`_byte_classes`, given or formed here) run each class in label
-    # order, so the first overlapping part of a class is where its count reaches 1.
+def _conditional_parts(state_set: StateSet,
+                       outcomes: Sequence[int]) -> tuple[tuple[MeasurementBasis, ...], np.ndarray]:
+    # conditional_b_basis for each outcome, and seat[i, j]: the row of the basis
+    # for outcomes[j] equal to B_i up to phase if B_i overlaps that outcome, else
+    # -1. np.hypot is the scalar abs. Of the B-parts overlapping an outcome, one
+    # equal byte for byte to an earlier one is dropped first: it overlaps the
+    # others as that one does, and sits in its row. A stable sort of the parts'
+    # bytes runs each class in label order, so the first overlapping part of a
+    # class is where its running count reaches 1.
     # Outcomes keeping as many parts are decided together; the first that fails raises.
     n, amps_a, amps_b = state_set.n, state_set.amps_a, state_set.amps_b
-    order, first, _ = classes or _byte_classes(amps_b)
-    overlapping = (np.hypot(amps_a.real, amps_a.imag) > ATOL_STATE)[order][:, outcomes]
-    count = np.cumsum(overlapping, axis=0, dtype=np.int32)
+    order, first = _runs(amps_b.view(np.dtype((np.void, amps_b.itemsize * amps_b.shape[1]))).ravel())
+    over = np.hypot(amps_a.real, amps_a.imag)[:, outcomes] > ATOL_STATE
+    overlapping = over[order]
+    count = np.cumsum(overlapping, axis=0)
     kept = np.empty_like(overlapping)
     kept[order] = overlapping & (count - (count - overlapping)[first][np.cumsum(first) - 1] == 1)
+    byte_class = np.empty(len(order), dtype=np.int64)
+    byte_class[order] = np.cumsum(first) - 1
     sizes = kept.sum(axis=0)
     found = np.empty(len(outcomes), dtype=np.int64)  # distinct parts, -1 if some are oblique
     rows = np.empty((len(outcomes), n), dtype=np.int64)  # labels of each basis's parts
+    class_seat = np.empty((len(outcomes), np.count_nonzero(first)), dtype=np.int64)
     for size in np.flatnonzero(np.bincount(sizes)):
         group = np.flatnonzero(sizes == size)
         labels = np.nonzero(kept[:, group].T)[1].reshape(len(group), size)
@@ -120,10 +121,12 @@ def _conditional_bases(state_set: StateSet, outcomes: Sequence[int],
         found[group] = np.where((~alike & (overlaps > ATOL_STATE)).any(axis=(1, 2)), -1, distinct.sum(1))
         whole = found[group] == n
         rows[group[whole]] = labels[whole][distinct[whole]].reshape(-1, n)
+        if size:  # a kept part sits in the row of the first part it is alike to
+            seats = np.take_along_axis(np.cumsum(distinct, axis=1) - 1, alike.argmax(axis=2), axis=1)
+            class_seat[group[:, None], byte_class[labels]] = seats
     mats = _canonical_rows(amps_b[rows[found == n].ravel()]).reshape(-1, n, n)
-    gram = np.matmul(mats.conj(), mats.transpose(0, 2, 1)).reshape(-1, n * n)
-    gram[:, :: n + 1] -= 1.0
-    orthonormal = iter(np.all(np.abs(gram) <= ATOL_EXACT, axis=1).tolist())
+    gram = np.matmul(mats.conj(), mats.transpose(0, 2, 1)) - np.eye(n)
+    orthonormal = iter(np.all(np.abs(gram) <= ATOL_EXACT, axis=(1, 2)).tolist())
     for m, parts_left in zip(outcomes, found.tolist()):
         if parts_left < 0:
             raise InvalidSetError(f"B-parts overlapping A outcome {m} are not mutually orthogonal")
@@ -131,45 +134,8 @@ def _conditional_bases(state_set: StateSet, outcomes: Sequence[int],
             raise InvalidSetError(f"A outcome {m} leaves {parts_left} distinct B-parts, not {n}")
         if not next(orthonormal):
             raise ValueError("basis vectors are not orthonormal")
-    return tuple(MeasurementBasis._checked(mat) for mat in mats)
-
-
-def _inference_table(conj_bases: np.ndarray, amps_a: np.ndarray, amps_b: np.ndarray,
-                     alike: np.ndarray) -> np.ndarray:
-    """inferred[m, v]: the first label i maximising |<m|A_i>|^2 |<v|B_i>|^2, <v| row v of
-    conj_bases[m], or 0 where all are 0: the whole posterior's argmax, from its nonzero
-    terms. B-parts of one byte class (alike[i]: the first label with B_i's bytes) give
-    equal columns of conj_bases[m] @ amps_b.T, so outcome m's product takes one part per
-    class it meets, at least two columns. On the family these gathered columns give the
-    whole product's squared moduli byte for byte; on some sets a few differ in the last
-    bit, which could move the argmax only at a near-tie."""
-    n, size = len(conj_bases), len(alike)
-    flat = np.flatnonzero(amps_a != 0)
-    i, m = np.divmod(flat, n)
-    part = alike[i]
-    present = np.zeros((n, size), dtype=bool)
-    present[m, part] = True
-    counted = np.cumsum(present, axis=1, dtype=np.int32)
-    width = max(2, counted[:, -1].max())
-    column = counted[m, part] - 1  # of the class of (i, m) in outcome m's product
-    cols = np.zeros((n, width), dtype=np.int64)
-    cols[m, column] = part
-    probs = np.abs(np.matmul(conj_bases, amps_b[cols].transpose(0, 2, 1))) ** 2
-    probs = np.ascontiguousarray(probs.transpose(0, 2, 1)).ravel()  # [m, column, v]
-    spots = np.flatnonzero(probs != 0)
-    counts = np.bincount(spots // n, minlength=n * width)
-    entry = m * width + column
-    copies = counts[entry]
-    e = np.repeat(np.arange(len(i)), copies)  # (i, m) once for each v it scores at
-    spot = spots[np.arange(len(e)) + (np.cumsum(counts)[entry] - np.cumsum(copies))[e]]
-    score = (np.abs(amps_a.ravel()[flat]) ** 2)[e] * probs[spot]
-    key = spot + ((m - entry) * n)[e]  # m * n + v
-    best = np.zeros(n * n)
-    np.maximum.at(best, key, score)
-    hit = (score == best[key]) & (score > 0)
-    table = np.full(n * n, size)
-    np.minimum.at(table, key[hit], i[e[hit]])
-    return np.where(table < size, table, 0).reshape(n, n)
+    seat = np.where(over, class_seat.T[byte_class], -1)
+    return tuple(MeasurementBasis._checked(mat) for mat in mats), seat
 
 
 class EveStrategy:
@@ -233,11 +199,20 @@ class ConditionalInterceptResend(EveStrategy):
 
     def __init__(self, state_set: StateSet):
         super().__init__(_require_set(state_set))
-        self._comp = MeasurementBasis.computational(state_set.n)
-        self._classes = _byte_classes(state_set.amps_b)
-        self._b_bases = _conditional_bases(state_set, range(state_set.n), self._classes)
-        self._inferred = _inference_table(np.stack([b.matrix for b in self._b_bases]).conj(),
-                                          state_set.amps_a, state_set.amps_b, self._classes[2])
+        n = state_set.n
+        self._comp = MeasurementBasis.computational(n)
+        self._b_bases, seat = _conditional_parts(state_set, range(n))
+        # inferred[m, v]: the first label i maximising |<m|A_i>|^2 |<v|B_i>|^2, v in the
+        # basis matched to m. Row v is B_i up to phase where seat[i, m] == v, and is
+        # orthogonal to the other parts overlapping m, so only the labels seated at v
+        # score, each its A weight; a part not overlapping m weighs at most ATOL_STATE^2,
+        # less than the part row v was taken from. lexsort is stable: ties keep label order.
+        i, m = np.nonzero(seat >= 0)
+        key = m * n + seat[i, m]
+        order = np.lexsort((-np.abs(state_set.amps_a[i, m]) ** 2, key))
+        best = order[np.diff(key[order], prepend=-1) != 0]
+        self._inferred = np.empty((n, n), dtype=np.int64)
+        self._inferred.flat[key[best]] = i[best]
 
     def _intercept_first(self, rnd: EveRound, ket_a: Ket, rng: RngStream) -> Ket:
         outcome, collapsed = projective_measure(ket_a, self._comp, rng)
@@ -254,7 +229,9 @@ class ConditionalInterceptResend(EveStrategy):
     def _kernel(self, state_set: StateSet) -> Kernel:
         n, amps_a, amps_b = state_set.n, state_set.amps_a, state_set.amps_b
         # alike[i]: the first label whose B-part has B_i's bytes, and so its rows
-        alike = (self._classes if state_set is self.state_set else _byte_classes(amps_b))[2]
+        order, first = _runs(amps_b.view(np.dtype((np.void, amps_b.itemsize * n))).ravel())
+        alike = np.empty(len(order), dtype=np.int64)
+        alike[order] = order[first][np.cumsum(first) - 1]
 
         def second_rows(keys):
             # key i * n + m: B_i in the basis matched to m, one product per m

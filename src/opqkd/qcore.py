@@ -83,10 +83,8 @@ def _checked(amps: np.ndarray) -> Ket:
 
 
 def _unit_kets(dim: int) -> tuple[Ket, ...]:
-    """basis_ket(dim, k) for every k, the rows of one identity wrapped unchecked."""
-    if dim < 2:
-        raise ValueError("a ket needs a one-dimensional vector of length >= 2")
-    return tuple(_checked(row) for row in np.eye(dim, dtype=np.complex128))
+    """basis_ket(dim, k) for every k: the first checked, the rest rows of one identity."""
+    return (basis_ket(dim, 0), *map(_checked, np.eye(dim, dtype=np.complex128)[1:]))
 
 
 def tensor(a: Ket, b: Ket) -> Ket:
@@ -280,12 +278,7 @@ def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     order = np.argsort(keys, kind="stable")
     ordered = keys[order]
     first = np.ones(len(keys), dtype=bool)
-    if keys.dtype.kind == "V":  # != on void keys is slow: compare their bytes as words
-        size = 8 if keys.itemsize % 8 == 0 else 1
-        words = ordered.view(f"u{size}").reshape(len(keys), keys.itemsize // size)
-        np.any(words[1:] != words[:-1], axis=1, out=first[1:])
-    else:
-        first[1:] = ordered[1:] != ordered[:-1]
+    first[1:] = ordered[1:] != ordered[:-1]
     return order, first
 
 

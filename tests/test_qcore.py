@@ -17,7 +17,7 @@ from opqkd import (
     tensor,
 )
 from opqkd import qcore
-from opqkd.qcore import StreamBlocks, _runs, _unit_kets, joint_amps, philox_block
+from opqkd.qcore import StreamBlocks, _unit_kets, joint_amps, philox_block
 
 
 def random_ket(rng, dim):
@@ -163,18 +163,6 @@ def test_joint_amps_of_an_empty_stack_and_of_kets():
     a, b = rng.standard_normal((2, 5, 3)) + 1j * rng.standard_normal((2, 5, 3))
     assert joint_amps(a, b).tobytes() == np.stack([np.kron(x, y) for x, y in zip(a, b)]).tobytes()
     assert joint_amps(a[0], b[0]).tobytes() == np.kron(a[0], b[0]).tobytes()
-
-
-@pytest.mark.parametrize("dtype", [np.complex128, np.uint8])
-def test_runs_on_void_keys_match_the_void_comparison(dtype):
-    # rows compared as words or bytes find the runs that != on void keys finds
-    rng = np.random.default_rng(47)
-    for rows, width in ((0, 3), (1, 3), (40, 3), (40, 5)):
-        amps = rng.integers(0, 3, (rows, width)).astype(dtype)
-        keys = amps.view(np.dtype((np.void, amps.itemsize * width))).ravel()
-        order, first = _runs(keys)
-        assert order.tolist() == np.argsort(keys, kind="stable").tolist()
-        assert first.tolist() == [True, *(keys[order][1:] != keys[order][:-1]).tolist()][:rows]
 
 
 def test_projective_measure_deterministic_on_eigenstate():
