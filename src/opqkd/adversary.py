@@ -88,11 +88,11 @@ def _conditional_bases(state_set: StateSet, outcomes: Sequence[int]) -> tuple[Me
     return _conditional_parts(state_set, outcomes)[0]
 
 
-def _conditional_parts(state_set: StateSet,
-                       outcomes: Sequence[int]) -> tuple[tuple[MeasurementBasis, ...], np.ndarray]:
-    # conditional_b_basis for each outcome, and seat[i, j]: the row of the basis
-    # for outcomes[j] equal to B_i up to phase if B_i overlaps that outcome, else
-    # -1. np.hypot is the scalar abs. Of the B-parts overlapping an outcome, one
+def _conditional_parts(state_set: StateSet, outcomes: Sequence[int]) -> tuple[tuple[MeasurementBasis, ...],
+                                                                               tuple[np.ndarray, ...]]:
+    # conditional_b_basis for each outcome, and the seats (i, j, v): each B_i
+    # overlapping outcomes[j] equals row v of that outcome's basis up to phase.
+    # np.hypot is the scalar abs. Of the B-parts overlapping an outcome, one
     # equal byte for byte to an earlier one is dropped first: it overlaps the
     # others as that one does, and sits in its row. A stable sort of the parts'
     # bytes runs each class in label order, so the first overlapping part of a
@@ -100,8 +100,7 @@ def _conditional_parts(state_set: StateSet,
     # Outcomes keeping as many parts are decided together; the first that fails raises.
     n, amps_a, amps_b = state_set.n, state_set.amps_a, state_set.amps_b
     order, first = _runs(amps_b.view(np.dtype((np.void, amps_b.itemsize * amps_b.shape[1]))).ravel())
-    over = np.hypot(amps_a.real, amps_a.imag)[:, outcomes] > ATOL_STATE
-    overlapping = over[order]
+    overlapping = np.hypot(amps_a.real, amps_a.imag)[order][:, outcomes] > ATOL_STATE
     count = np.cumsum(overlapping, axis=0)
     kept = np.empty_like(overlapping)
     kept[order] = overlapping & (count - (count - overlapping)[first][np.cumsum(first) - 1] == 1)
@@ -110,7 +109,7 @@ def _conditional_parts(state_set: StateSet,
     sizes = kept.sum(axis=0)
     found = np.empty(len(outcomes), dtype=np.int64)  # distinct parts, -1 if some are oblique
     rows = np.empty((len(outcomes), n), dtype=np.int64)  # labels of each basis's parts
-    class_seat = np.empty((len(outcomes), np.count_nonzero(first)), dtype=np.int64)
+    class_seat = np.empty((len(outcomes), np.count_nonzero(first)), dtype=np.int32)
     for size in np.flatnonzero(np.bincount(sizes)):
         group = np.flatnonzero(sizes == size)
         labels = np.nonzero(kept[:, group].T)[1].reshape(len(group), size)
@@ -134,8 +133,9 @@ def _conditional_parts(state_set: StateSet,
             raise InvalidSetError(f"A outcome {m} leaves {parts_left} distinct B-parts, not {n}")
         if not next(orthonormal):
             raise ValueError("basis vectors are not orthonormal")
-    seat = np.where(over, class_seat.T[byte_class], -1)
-    return tuple(MeasurementBasis._checked(mat) for mat in mats), seat
+    at, j = np.nonzero(overlapping)
+    i = order[at]
+    return tuple(MeasurementBasis._checked(mat) for mat in mats), (i, j, class_seat[j, byte_class[i]])
 
 
 class EveStrategy:
@@ -201,15 +201,14 @@ class ConditionalInterceptResend(EveStrategy):
         super().__init__(_require_set(state_set))
         n = state_set.n
         self._comp = MeasurementBasis.computational(n)
-        self._b_bases, seat = _conditional_parts(state_set, range(n))
+        self._b_bases, (i, m, v) = _conditional_parts(state_set, range(n))
         # inferred[m, v]: the first label i maximising |<m|A_i>|^2 |<v|B_i>|^2, v in the
-        # basis matched to m. Row v is B_i up to phase where seat[i, m] == v, and is
-        # orthogonal to the other parts overlapping m, so only the labels seated at v
-        # score, each its A weight; a part not overlapping m weighs at most ATOL_STATE^2,
-        # less than the part row v was taken from. lexsort is stable: ties keep label order.
-        i, m = np.nonzero(seat >= 0)
-        key = m * n + seat[i, m]
-        order = np.lexsort((-np.abs(state_set.amps_a[i, m]) ** 2, key))
+        # basis matched to m. Row v is B_i up to phase for the labels seated at it, and
+        # is orthogonal to the other parts overlapping m, so only those labels score,
+        # each its A weight; a part not overlapping m weighs at most ATOL_STATE^2, less
+        # than the part row v was taken from.
+        key = m * n + v
+        order = np.lexsort((i, -np.abs(state_set.amps_a[i, m]) ** 2, key))
         best = order[np.diff(key[order], prepend=-1) != 0]
         self._inferred = np.empty((n, n), dtype=np.int64)
         self._inferred.flat[key[best]] = i[best]

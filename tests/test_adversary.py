@@ -753,12 +753,12 @@ def _traced_peak(build):
 
 def test_inference_table_memory_on_noisy_zeros():
     # with every part in a byte class of its own, the table adds no more than
-    # arrays of the seats' size to the conditional bases' peak, not an array
-    # per (outcome, row, label)
+    # a few arrays of the seats' size to the conditional bases' peak, not an
+    # array per (outcome, row, label)
     s = _rephased(build_symmetric(25), np.random.default_rng(61), 1e-12)
     bases = _traced_peak(lambda: _conditional_bases(s, range(s.n)))
-    seat = adversary._conditional_parts(s, range(s.n))[1]
-    assert _traced_peak(lambda: ConditionalInterceptResend(s)) <= bases + 4 * seat.nbytes
+    seats = adversary._conditional_parts(s, range(s.n))[1]
+    assert _traced_peak(lambda: ConditionalInterceptResend(s)) <= bases + 4 * sum(a.nbytes for a in seats)
 
 
 def check_inference_table_bytes():
