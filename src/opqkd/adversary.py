@@ -207,11 +207,12 @@ class ConditionalInterceptResend(EveStrategy):
         # is orthogonal to the other parts overlapping m, so only those labels score,
         # each its A weight; a part not overlapping m weighs at most ATOL_STATE^2, less
         # than the part row v was taken from.
-        key = m * n + v
-        order = np.lexsort((i, -np.abs(state_set.amps_a[i, m]) ** 2, key))
-        best = order[np.diff(key[order], prepend=-1) != 0]
-        self._inferred = np.empty((n, n), dtype=np.int64)
-        self._inferred.flat[key[best]] = i[best]
+        key, weight = m * n + v, np.abs(state_set.amps_a[i, m]) ** 2
+        best = np.zeros(n * n)
+        np.maximum.at(best, key, weight)
+        hit = weight == best[key]
+        self._inferred = np.full((n, n), n * n)
+        np.minimum.at(self._inferred.reshape(-1), key[hit], i[hit])
 
     def _intercept_first(self, rnd: EveRound, ket_a: Ket, rng: RngStream) -> Ket:
         outcome, collapsed = projective_measure(ket_a, self._comp, rng)
