@@ -11,8 +11,8 @@ reference writer builds a set file with `json.dumps`, so the library's
 writer can be held to the same bytes. The dense set checks form whole Gram
 matrices, so the checks grouped by support can be held to their verdicts.
 The dense inference table forms the intercept's whole posterior, so the table
-built from its nonzero terms can be held to its bytes, and the BLAS-thread
-helper reruns such a byte check with one and with two BLAS threads.
+read from the conditional bases' seats can be held to its bytes, and the
+BLAS-thread helper reruns such a byte check with one and with two BLAS threads.
 """
 from __future__ import annotations
 
@@ -138,13 +138,18 @@ def intercept_contributions_by_scalar_rows(state_set) -> list[float]:
     return contributions
 
 
-def dense_inferred(mats, amps_a, amps_b) -> np.ndarray:
-    """The intercept's inference table from its whole posterior: one dense
-    product per A outcome m, posterior[m, v, i] = |<m|A_i>|^2 |<v|B_i>|^2 for
-    row v of mats[m] conjugated, and the first argmax over the labels i."""
+def dense_posterior(mats, amps_a, amps_b) -> np.ndarray:
+    """The intercept's whole posterior, one dense product per A outcome m:
+    posterior[m, v, i] = |<m|A_i>|^2 |<v|B_i>|^2 for row v of mats[m] conjugated."""
     weight_a = np.abs(amps_a.T) ** 2
     weight_b = np.stack([np.abs(mat.conj() @ amps_b.T) ** 2 for mat in mats])
-    return np.argmax(weight_a[:, None, :] * weight_b, axis=2)
+    return weight_a[:, None, :] * weight_b
+
+
+def dense_inferred(mats, amps_a, amps_b) -> np.ndarray:
+    """The intercept's inference table: the first argmax of the whole
+    posterior over the labels i."""
+    return np.argmax(dense_posterior(mats, amps_a, amps_b), axis=2)
 
 
 _ROOT = pathlib.Path(__file__).resolve().parent.parent

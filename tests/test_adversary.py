@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as hst
 from conftest import (
     assert_bytes_under_blas_threads,
     dense_inferred,
+    dense_posterior,
     intercept_contributions_by_scalar_rows,
     random_parameters,
     random_tiling,
@@ -725,8 +726,7 @@ def test_inferred_table_on_parts_equal_up_to_phase_and_noisy_zeros():
         for noise in (0.0, 1e-12):
             s = _rephased(build_symmetric(n), rng, noise)
             eve = ConditionalInterceptResend(s)
-            weight_b = np.stack([np.abs(b.matrix.conj() @ s.amps_b.T) ** 2 for b in eve._b_bases])
-            scores = np.abs(s.amps_a.T)[:, None, :] ** 2 * weight_b
+            scores = dense_posterior([b.matrix for b in eve._b_bases], s.amps_a, s.amps_b)
             taken = np.take_along_axis(scores, eve._inferred[:, :, None], axis=2)[..., 0]
             assert np.all(taken >= scores.max(axis=2) * (1 - 1e-14)), (n, noise)
 
@@ -735,8 +735,7 @@ def test_inferred_table_takes_the_first_of_equal_scores():
     # the family's column tiles give rows where several labels score the same
     s = build_symmetric(9)
     eve = ConditionalInterceptResend(s)
-    weight_b = np.stack([np.abs(b.matrix.conj() @ s.amps_b.T) ** 2 for b in eve._b_bases])
-    scores = np.abs(s.amps_a.T)[:, None, :] ** 2 * weight_b
+    scores = dense_posterior([b.matrix for b in eve._b_bases], s.amps_a, s.amps_b)
     top = scores == scores.max(axis=2, keepdims=True)
     assert (top.sum(axis=2) > 1).any()
     assert eve._inferred.tolist() == top.argmax(axis=2).tolist()
