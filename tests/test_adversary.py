@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import functools
 import math
 import tracemalloc
@@ -20,6 +21,7 @@ from conftest import (
 )
 from opqkd import (
     ConditionalInterceptResend,
+    DominoLayout,
     EveStrategy,
     InvalidSetError,
     MeasureSecondOnly,
@@ -717,18 +719,28 @@ def _rephased(s, rng, noise):
     return StateSet([ProductState(k, Ket(a[k]), Ket(b[k])) for k in range(len(a))], s.layout)
 
 
+def _shuffled(s, rng):
+    # s with its labels permuted, so one tile's states need not be neighbours
+    perm = rng.permutation(len(s.amps_a))
+    tiles = tuple(dataclasses.replace(t, state_indices=tuple(int(perm[k]) for k in t.state_indices))
+                  for t in s.layout.tiles)
+    return StateSet(states_from_tiles(s.n, tiles), DominoLayout(s.n, tiles))
+
+
 def test_inferred_table_on_parts_equal_up_to_phase_and_noisy_zeros():
     # Rephased parts and zeros of 1e-12 leave the posterior's exact ties to
     # rounding, so the dense argmax may pick another of the tied labels; the
-    # table's label still scores the maximum to within rounding
+    # table's label still scores the maximum to within rounding, also with
+    # the labels of parts equal up to phase apart
     rng = np.random.default_rng(59)
     for n in (3, 4, 5, 9, 16):
-        for noise in (0.0, 1e-12):
-            s = _rephased(build_symmetric(n), rng, noise)
+        for noise, shuffle in ((0.0, False), (1e-12, False), (0.0, True)):
+            s = build_symmetric(n)
+            s = _rephased(_shuffled(s, rng) if shuffle else s, rng, noise)
             eve = ConditionalInterceptResend(s)
             scores = dense_posterior([b.matrix for b in eve._b_bases], s.amps_a, s.amps_b)
             taken = np.take_along_axis(scores, eve._inferred[:, :, None], axis=2)[..., 0]
-            assert np.all(taken >= scores.max(axis=2) * (1 - 1e-14)), (n, noise)
+            assert np.all(taken >= scores.max(axis=2) * (1 - 1e-14)), (n, noise, shuffle)
 
 
 def test_inferred_table_takes_the_first_of_equal_scores():
