@@ -28,6 +28,7 @@ from .qcore import (
     born_sample,
     product_sample,
     projective_measure,
+    seat_band,
     tensor,
 )
 from .stateset import StateSet, bob_basis
@@ -213,6 +214,9 @@ class ConditionalInterceptResend(EveStrategy):
         hit = weight == best[key]
         self._inferred = np.full((n, n), n * n)
         np.minimum.at(self._inferred.reshape(-1), key[hit], i[hit])
+        # seats[i, m]: the row of the basis matched to m that is B_i up to phase, n if B_i misses |m>
+        self._seats = np.full((n * n, n), n, dtype=np.min_scalar_type(n))
+        self._seats[i, m] = v
 
     def _intercept_first(self, rnd: EveRound, ket_a: Ket, rng: RngStream) -> Ket:
         outcome, collapsed = projective_measure(ket_a, self._comp, rng)
@@ -228,23 +232,22 @@ class ConditionalInterceptResend(EveStrategy):
 
     def _kernel(self, state_set: StateSet) -> Kernel:
         n, amps_a, amps_b = state_set.n, state_set.amps_a, state_set.amps_b
-        # alike[i]: the first label whose B-part has B_i's bytes, and so its rows
-        order, first = _runs(amps_b.view(np.dtype((np.void, amps_b.itemsize * n))).ravel())
-        alike = np.empty(len(order), dtype=np.int64)
-        alike[order] = order[first][np.cumsum(first) - 1]
+        seats = self._seats if state_set is self.state_set else np.full_like(self._seats, n)
 
         def second_rows(keys):
-            # key i * n + m: B_i in the basis matched to m, one product per m
+            # key i * n + m: B_i in the basis matched to m, one matrix-vector product per key
             i, m = np.divmod(keys, n)
-            order, first = _runs(m)
             rows = np.empty((len(keys), n))
-            for run in np.split(order, np.flatnonzero(first)[1:]):
-                rows[run] = born_rows(self._b_bases[m[run[0]]]._conj_matrix, amps_b[i[run]])
+            for outcome in set(m.tolist()):
+                rows[m == outcome] = born_rows(self._b_bases[outcome]._conj_matrix, amps_b[i[m == outcome]])
             return rows
 
         def step(alice, draws):
             a = born_sample(lambda i: np.abs(amps_a[i]) ** 2, n * n, alice, draws.random())
-            b = born_sample(second_rows, n**3, alike[alice] * n + a, draws.random())
+            u, lo, b = draws.random(), seat_band(n), seats[alice, a].astype(np.int64)
+            rest = np.flatnonzero((b == n) | (u <= lo) | (u >= 1.0 - lo))
+            if len(rest):
+                b[rest] = born_sample(second_rows, n**3, alice[rest] * n + a[rest], u[rest])
             return a, b, self._inferred[a, b], (a, a * n + b)
 
         return step, (_canonical_rows(self._comp.matrix),

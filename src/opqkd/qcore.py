@@ -348,7 +348,7 @@ def guard_band(n: int) -> float:
     Every ket is normalised to within ATOL_EXACT, so |x_j|, |y_j| <= v =
     1 + ATOL_EXACT and each p_j <= v^4. A computed product of two numbers
     of modulus at most w, each within e, rounded within g, is within
-    e (2w + e) + g (w + e)^2. So the joint p_j are within eps_J of the
+    `_product_error`(e, w, g). So the joint p_j are within eps_J of the
     exact ones, from amplitudes within g_(4m+8) v^2 of theirs (two joint
     kets of products, then an m-term inner product), and the factorised
     ones within eps_F, from factors within eps_1 (n-term inner products
@@ -361,18 +361,44 @@ def guard_band(n: int) -> float:
     entries, and the outcome is the same. The band is about 20 n^4 u; no
     figure in it is fitted to data."""
     m, v = n * n, 1.0 + ATOL_EXACT
+    eps_joint = _product_error(_gamma(4 * m + 8) * v * v, v * v, _gamma(13))
+    eps_factored = _product_error(_product_error(_gamma(4 * n) * v, v, _gamma(13)), v * v, _U)
+    return _spread(m, eps_joint, v**4) + _spread(m, eps_factored, v**4)
 
-    def product(e: float, w: float, g: float) -> float:
-        return e * (2.0 * w + e) + g * (w + e) ** 2
 
-    eps_joint = product(_gamma(4 * m + 8) * v * v, v * v, _gamma(13))
-    eps_1 = product(_gamma(4 * n) * v, v, _gamma(13))
-    eps_factored = product(eps_1, v * v, _U)
-    band = 0.0
-    for eps in (eps_joint, eps_factored):
-        cumsum = m * (eps + _gamma(m) * (v**4 + eps))
-        band += 2.0 * cumsum + _U * (m * (v**4 + eps) + cumsum)
-    return band
+def _product_error(e: float, w: float, g: float) -> float:
+    return e * (2.0 * w + e) + g * (w + e) ** 2
+
+
+def _spread(m: int, eps: float, top: float) -> float:
+    cumsum = m * (eps + _gamma(m) * (top + eps))
+    return 2.0 * cumsum + _U * (m * (top + eps) + cumsum)
+
+
+def sure_band(outcomes: int, off: float, on: float, spread: float) -> float:
+    """lo of the draws u in (lo, 1 - lo) that decide outcome o of L without a
+    row: exact p_l <= off^2 at every other outcome, p_o >= on^2, and B + B_t <=
+    spread (guard_band, `_spread`). Then C_(o-1), T - C_o <= (L-1) off^2 and
+    T >= on^2, so x = ((L-1) off^2 + spread) / on^2 < u < 1 - x puts u T'
+    between C'_(o-1) and C'_o. lo = 2x covers the rounding of lo and 1 - lo,
+    and keeps u T' more than `spread` from both."""
+    return 2.0 * ((outcomes - 1) * off * off + spread) / (on * on)
+
+
+def seat_band(n: int) -> float:
+    """`sure_band` of B_i in the intercept's basis for an A outcome B_i overlaps,
+    whose row v, B_i's seat, is B_i up to phase. Row R_w = s_w B_k (1 + t) is a
+    kept part in canonical phase, |t| <= g_4. Parts are Kets and rows passed the
+    Gram check, so |x|^2 is within nu of 1, |x||y| <= w = 1 + 3 nu and |s_w| is
+    within 3 nu of 1. Two kept parts alike to B_i would overlap by over 1 - 1e-4,
+    which the oblique check refuses: B_i is alike to its seat's part alone, and
+    its computed overlap c with each other one is at most ATOL_STATE; |<x|y>| is
+    within c / (1 -+ g_6) -+ g_4n w. Rows lie within _product_error(g_4n w, w, g_13)."""
+    nu = (ATOL_EXACT + _gamma(4 * n)) / (1.0 - _gamma(4 * n))
+    w, slack = 1.0 + 3.0 * nu, _gamma(4 * n + 4) * (1.0 + 3.0 * nu)
+    off = w * (ATOL_STATE / (1.0 - _gamma(6)) + slack)
+    on = (1.0 - 3.0 * nu) * ((1.0 - ATOL_STATE) / (1.0 + _gamma(6)) - slack)
+    return sure_band(n, off, on, _spread(n, _product_error(_gamma(4 * n) * w, w, _gamma(13)), w * w))
 
 
 def _search(cumulative: np.ndarray, rows: np.ndarray, target: np.ndarray) -> np.ndarray:
@@ -471,8 +497,18 @@ def product_sample(parts: tuple[np.ndarray, np.ndarray], kets: tuple[np.ndarray,
     target u*total lies within `guard_band` of an entry beside its outcome in
     the dense row (the previous candidate's, 0.0 before the first candidate,
     -inf at label 0; its own, +inf at the last label), and then takes its outcome
-    from its joint row, `joint_rows` of _BLOCK_FLOATS // m lanes at a time."""
-    m, band = len(parts[0]), guard_band(parts[0].shape[1])
+    from its joint row, `joint_rows` of _BLOCK_FLOATS // m lanes at a time.
+    A lane measuring a basis vector (kets the parts of a StateSet, i = k) takes
+    label i for u in the `sure_band` of off = d, on = 1 - d, spread guard_band(n):
+    the Gram check puts each <A_l|A_i><B_l|B_i> within d of the identity, d =
+    ATOL_EXACT + _product_error(g_4n v, v, g_4)."""
+    (m, n), band = parts[0].shape, guard_band(parts[0].shape[1])
+    out, rest = np.array(i, dtype=np.int64), slice(None)
+    if kets[0] is parts[0] and kets[1] is parts[1]:
+        d = ATOL_EXACT + _product_error(_gamma(4 * n) * (1.0 + ATOL_EXACT), 1.0 + ATOL_EXACT, _gamma(4))
+        edge = sure_band(m, d, 1.0 - d, band)
+        rest = np.flatnonzero((i != k) | (u <= edge) | (u >= 1.0 - edge))
+    i, k, u = i[rest], k[rest], u[rest]
     keys = i * len(kets[1]) + k
     order, first = _runs(keys)
     row = np.cumsum(first) - 1
@@ -490,7 +526,8 @@ def product_sample(parts: tuple[np.ndarray, np.ndarray], kets: tuple[np.ndarray,
     for lanes in (flagged[lo:lo + step] for lo in range(0, len(flagged), step)):
         exact, total = _cumulative(joint_rows(parts, joint_amps(kets[0][i[lanes]], kets[1][k[lanes]])))
         outcomes[lanes] = _search(exact, np.arange(len(lanes)), u[lanes] * total)
-    return outcomes, len(flagged)
+    out[rest] = outcomes
+    return out, len(flagged)
 
 
 # Philox4x64-10 (Salmon et al., SC'11). _PHILOX holds each row's round

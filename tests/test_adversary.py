@@ -788,18 +788,134 @@ def test_inference_table_bytes_with_one_and_two_blas_threads():
     assert_bytes_under_blas_threads(check_inference_table_bytes)
 
 
-def test_kernels_match_hooks_round_by_round():
-    # columns for each strategy equal run_round on each round's own stream
-    s = build_symmetric(4)
-    basis = bob_basis(s)
+def _assert_kernels_match_hooks(s, own=None, rounds=300, seed=12):
+    # columns for each strategy, built for `own` (s itself by default), equal
+    # run_round on each round's own stream; an intercept `own` refuses is skipped
+    basis, own = bob_basis(s), s if own is None else own
     for name in STRATEGY_NAMES:
-        (columns,) = round_columns(s, make_strategy(name, s), 12, 300)
-        for round_id in range(300):
-            alice, bob, rec = run_round(s, basis, make_strategy(name, s), round_id,
-                                        RngStream(12, round_id))
+        try:
+            make_strategy(name, own)
+        except InvalidSetError:
+            continue
+        (columns,) = round_columns(s, make_strategy(name, own), seed, rounds)
+        for round_id in range(rounds):
+            alice, bob, rec = run_round(s, basis, make_strategy(name, own), round_id,
+                                        RngStream(seed, round_id))
             outcomes = [-1 if v is None else v
                         for v in (rec.a_outcome, rec.b_outcome, rec.inferred_state)]
-            assert columns[:, round_id].tolist() == [alice, bob, *outcomes]
+            assert columns[:, round_id].tolist() == [alice, bob, *outcomes], (s.n, name, round_id)
+
+
+def test_kernels_match_hooks_round_by_round():
+    # the family at n = 4, random 3 x 3 sets, random tilings with unit and
+    # discrete-Fourier amplitudes, and rephased sets with zeros of 1e-12,
+    # where the alike and orthogonality checks hold only to tolerance
+    _assert_kernels_match_hooks(build_symmetric(4))
+    rng = np.random.default_rng(67)
+    sets = [_random_3x3(seed) for seed in range(3)]
+    for n in (3, 5):
+        sets += _tiling_sets(random_tiling(rng, n, "random"))
+        sets.append(_rephased(build_symmetric(n), rng, 1e-12))
+    sets.append(_rephased(_shuffled(build_symmetric(4), rng), rng, 1e-12))
+    for s in sets:
+        _assert_kernels_match_hooks(s, rounds=120)
+
+
+def test_strategies_built_for_another_set_decide_no_lane_by_a_band(monkeypatch):
+    # a strategy built for another set of the same n still matches the hooks;
+    # the substitute's held kets are not its own parts, so no sure band is
+    # formed, and the intercept has no seats on that set: every second-leg
+    # lane asks for its row
+    rng = np.random.default_rng(69)
+    s = build_symmetric(4)
+    for other in (_shuffled(s, rng), _rephased(s, rng, 0.0)):
+        _assert_kernels_match_hooks(s, own=other, rounds=120)
+        bands, asked = [], []
+        real_band, real_sample = qcore.sure_band, adversary.born_sample
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(qcore, "sure_band", lambda *args: bands.append(args) or real_band(*args))
+            mp.setattr(adversary, "born_sample",
+                       lambda rows, size, keys, u: asked.append(len(keys)) or real_sample(rows, size, keys, u))
+            next(round_columns(s, make_strategy("substitute", other), 3, 500))
+            assert not bands
+            step, _ = ConditionalInterceptResend(other)._kernel(s)
+            step(np.arange(len(s)).repeat(20), StreamBlocks(philox_block(3, np.arange(20 * len(s)))))
+        assert asked == [20 * len(s)] * 2
+
+
+def _edge_draws(lo):
+    # draws at the ends of the band (lo, 1 - lo): 0, the least draw above it,
+    # lo and 1 - lo and the draws one ulp either side of each, the greatest draw
+    hi = 1.0 - lo
+    near = [np.nextafter(x, toward) for x in (lo, hi) for toward in (0.0, 1.0)]
+    return np.array([0.0, 2.0**-53, lo, hi, *near, 1.0 - 2.0**-53])
+
+
+def test_bob_lanes_at_the_sure_band_ends(monkeypatch):
+    # a lane measuring its own basis vector with a draw at either end of the
+    # sure band takes projective_measure's outcome in the joint basis, alone
+    # and among the others, and forms candidate rows exactly when its draw
+    # lies outside the open band
+    edges, formed = [], []
+    real_band, real_rows = qcore.sure_band, qcore._candidate_rows
+    monkeypatch.setattr(qcore, "sure_band", lambda *args: edges.append(real_band(*args)) or edges[-1])
+    monkeypatch.setattr(qcore, "_candidate_rows",
+                        lambda parts, kets, i, k: formed.append(len(i)) or real_rows(parts, kets, i, k))
+    rng = np.random.default_rng(71)
+    sets = [(build_symmetric(n), 1) for n in (3, 9)] + [(build_symmetric(25), 13)]
+    sets += [(_rephased(build_symmetric(5), rng, 1e-12), 1), (_rephased(_random_3x3(4), rng, 1e-12), 1)]
+    for s, stride in sets:
+        parts, basis = (s.amps_a, s.amps_b), bob_basis(s)
+        product_sample(parts, parts, np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64), np.zeros(1))
+        lo = edges[-1]
+        assert 0.0 < lo < 1e-7
+        draws = _edge_draws(lo)
+        labels = np.arange(0, len(s), stride).repeat(len(draws))
+        u = np.tile(draws, len(labels) // len(draws))
+        together, _ = product_sample(parts, parts, labels, labels, u)
+        for label, x, joined in zip(labels.tolist(), u.tolist(), together.tolist()):
+            formed.clear()
+            alone, _ = product_sample(parts, parts, np.array([label]), np.array([label]), np.array([x]))
+            assert alone[0] == joined == _joint_outcome(basis, parts[0][label], parts[1][label], x), (s.n, label, x)
+            assert (sum(formed) > 0) == (not lo < x < 1.0 - lo), (s.n, label, x)
+
+
+def test_intercept_second_leg_at_the_seat_band_ends(monkeypatch):
+    # each second-leg lane with a draw at either end of the seat band takes
+    # projective_measure's outcome in the basis matched to its A outcome; a
+    # lane asks for its row exactly when its label's A-part misses that
+    # outcome or its draw lies outside the open band
+    rng = np.random.default_rng(73)
+    sets = [build_symmetric(n) for n in (3, 9, 25)]
+    sets += [_rephased(build_symmetric(5), rng, 1e-12), _rephased(_shuffled(build_symmetric(4), rng), rng, 1e-12)]
+    asked, missed = [], 0
+    real_sample = adversary.born_sample
+    monkeypatch.setattr(adversary, "born_sample",
+                        lambda rows, size, keys, u: asked.append(keys) or real_sample(rows, size, keys, u))
+    for s in sets:
+        n, eve = s.n, ConditionalInterceptResend(s)
+        step, _ = eve._kernel(s)
+        lo = qcore.seat_band(n)
+        assert 0.0 < lo < 1e-10
+        draws = _edge_draws(lo)
+        labels = np.arange(len(s)).repeat(len(draws))
+        u_b = np.tile(draws, len(s))
+        u_a = np.where(np.arange(len(labels)) % 3 == 0, 0.0, rng.random(len(labels)))
+        columns = iter((u_a, u_b))
+        asked.clear()
+        a, b, _, _ = step(labels, SimpleNamespace(random=lambda: next(columns)))
+        rows = []
+        for lane, (label, x) in enumerate(zip(labels.tolist(), u_b.tolist())):
+            ket_a, ket_b = s[label].ket_a, s[label].ket_b
+            expected_a = _collapse(ket_a, eve._comp, u_a[lane])[0]
+            assert a[lane] == expected_a
+            assert b[lane] == _collapse(ket_b, eve._b_bases[expected_a], x)[0], (n, label, x)
+            overlaps = math.hypot(ket_a.amps[expected_a].real, ket_a.amps[expected_a].imag) > ATOL_STATE
+            missed += not overlaps
+            if not overlaps or not lo < x < 1.0 - lo:
+                rows.append(label * n + expected_a)
+        assert sorted(asked[1].tolist() if len(asked) > 1 else []) == sorted(rows)
+    assert missed > 0  # zero draws on the rephased sets' A outcomes of weight 1e-24
 
 
 def _first_overlapping_parts(s, m):
@@ -929,7 +1045,8 @@ def test_batched_table_rows_have_the_per_key_bytes(data):
     # the intercept's two samplers and the complementary one: each call of a
     # kernel's step asks for its distinct keys in ascending order, and each
     # key's batched row, cumsum and total hold the bytes of
-    # born_probabilities and _cumulative on that key's own kets
+    # born_probabilities and _cumulative on that key's own kets; an empty
+    # seat band sends every second-leg lane to its row
     if data.draw(hst.booleans()):
         s = _random_3x3(data.draw(hst.integers(0, 2**32 - 1)))
     else:
@@ -958,6 +1075,7 @@ def test_batched_table_rows_have_the_per_key_bytes(data):
     steps = data.draw(hst.integers(1, 3))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(adversary, "born_sample", recording)
+        mp.setattr(adversary, "seat_band", lambda n: 1.0)
         for seed in range(steps):
             alice = np.array(data.draw(hst.lists(hst.integers(0, len(s) - 1), min_size=1, max_size=40)))
             step(alice, StreamBlocks(philox_block(seed, np.arange(len(alice)))))

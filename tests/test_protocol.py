@@ -323,8 +323,32 @@ def test_forced_replay_builds_no_joint_matrix(monkeypatch):
 
 def _force_flags(monkeypatch):
     # a guard band wider than any distribution: Bob's tables, and the
-    # substitute attacker's, measure every lane on its joint row
+    # substitute attacker's, measure every lane on its joint row, as no
+    # sure band is left; and no seat band: the intercept's second leg asks
+    # for every lane's row
     monkeypatch.setattr(qcore, "guard_band", lambda n: 2.0)
+    monkeypatch.setattr(adversary, "seat_band", lambda n: 1.0)
+
+
+def _spy_rows(monkeypatch):
+    # per call, (lanes, lanes flagged) of product_sample and (lanes, None) of
+    # born_sample, wherever a kernel or Bob calls them
+    calls = []
+    real_product, real_born = qcore.product_sample, qcore.born_sample
+
+    def product(*args):
+        outcomes, flagged = real_product(*args)
+        calls.append((len(outcomes), flagged))
+        return outcomes, flagged
+
+    def born(rows, size, keys, u):
+        calls.append((len(keys), None))
+        return real_born(rows, size, keys, u)
+
+    for module in (protocol, adversary):
+        monkeypatch.setattr(module, "product_sample", product)
+    monkeypatch.setattr(adversary, "born_sample", born)
+    return calls
 
 
 # sha256 of the int64 columns, rounds 0..599 with seed 7, every lane flagged;
@@ -341,15 +365,22 @@ _FORCED_COLUMNS = {
 
 def _assert_forced_columns(monkeypatch, n, rounds, pinned):
     # every lane flagged, each strategy's columns are the unflagged ones,
-    # and their sha256 the pinned one
+    # and their sha256 the pinned one; a spy sees no lane decided by a band:
+    # every product_sample lane is flagged, and the intercept's two legs and
+    # the complementary leg ask for a row for each round
     s = build_symmetric(n)
     plain = {name: next(round_columns(s, make_strategy(name, s), 7, rounds)) for name in STRATEGY_NAMES}
     _force_flags(monkeypatch)
+    calls = _spy_rows(monkeypatch)
     for name in STRATEGY_NAMES:
+        calls.clear()
         (forced,) = round_columns(s, make_strategy(name, s), 7, rounds)
         assert forced.tolist() == plain[name].tolist(), name
         digest = hashlib.sha256(forced.astype("<i8").tobytes()).hexdigest()
         assert digest[:16] == pinned[n, name], name
+        assert all(flagged in (None, lanes) for lanes, flagged in calls), name
+        samplers = {"intercept": 2, "complementary": 1}.get(name, 0)
+        assert sum(lanes for lanes, flagged in calls if flagged is None) == samplers * rounds, name
 
 
 @pytest.mark.parametrize("n", [3, 5, 9])
@@ -476,8 +507,9 @@ def test_exact_intercept_holds_one_outcomes_rows_at_a_time():
 
 
 def test_intercept_step_never_gathers_a_basis_per_lane():
-    # the second leg broadcasts each conditional basis over its lanes: one
-    # 41 x 41 basis gathered per lane of a chunk would take 220 MB
+    # the second leg reads its seats and forms a row, from its basis, only
+    # for the lanes the seat band leaves: one 41 x 41 basis gathered per
+    # lane of a chunk would take 220 MB
     s = build_symmetric(41)
     step, _ = make_strategy("intercept", s)._kernel(s)
     alice = np.random.default_rng(3).integers(0, len(s), protocol.CHUNK_ROUNDS)
