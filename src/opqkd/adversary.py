@@ -232,14 +232,19 @@ class ConditionalInterceptResend(EveStrategy):
 
     def _kernel(self, state_set: StateSet) -> Kernel:
         n, amps_a, amps_b = state_set.n, state_set.amps_a, state_set.amps_b
+        # alike[i]: the first label whose B-part has B_i's bytes, and so its rows
+        order, first = _runs(amps_b.view(np.dtype((np.void, amps_b.itemsize * n))).ravel())
+        alike = np.empty(len(order), dtype=np.int64)
+        alike[order] = order[first][np.cumsum(first) - 1]
         seats = self._seats if state_set is self.state_set else np.full_like(self._seats, n)
 
         def second_rows(keys):
-            # key i * n + m: B_i in the basis matched to m, one matrix-vector product per key
+            # key i * n + m: B_i in the basis matched to m, one product per m
             i, m = np.divmod(keys, n)
+            order, first = _runs(m)
             rows = np.empty((len(keys), n))
-            for outcome in set(m.tolist()):
-                rows[m == outcome] = born_rows(self._b_bases[outcome]._conj_matrix, amps_b[i[m == outcome]])
+            for run in np.split(order, np.flatnonzero(first)[1:]):
+                rows[run] = born_rows(self._b_bases[m[run[0]]]._conj_matrix, amps_b[i[run]])
             return rows
 
         def step(alice, draws):
@@ -247,7 +252,7 @@ class ConditionalInterceptResend(EveStrategy):
             u, lo, b = draws.random(), seat_band(n), seats[alice, a].astype(np.int64)
             rest = np.flatnonzero((b == n) | (u <= lo) | (u >= 1.0 - lo))
             if len(rest):
-                b[rest] = born_sample(second_rows, n**3, alice[rest] * n + a[rest], u[rest])
+                b[rest] = born_sample(second_rows, n**3, alike[alice[rest]] * n + a[rest], u[rest])
             return a, b, self._inferred[a, b], (a, a * n + b)
 
         return step, (_canonical_rows(self._comp.matrix),

@@ -376,24 +376,22 @@ def _spread(m: int, eps: float, top: float) -> float:
 
 
 def sure_band(outcomes: int, off: float, on: float, spread: float) -> float:
-    """lo of the draws u in (lo, 1 - lo) that decide outcome o of L without a
-    row: exact p_l <= off^2 at every other outcome, p_o >= on^2, and B + B_t <=
-    spread (guard_band, `_spread`). Then C_(o-1), T - C_o <= (L-1) off^2 and
-    T >= on^2, so x = ((L-1) off^2 + spread) / on^2 < u < 1 - x puts u T'
-    between C'_(o-1) and C'_o. lo = 2x covers the rounding of lo and 1 - lo,
-    and keeps u T' more than `spread` from both."""
+    """lo such that a draw u in (lo, 1 - lo) decides outcome o of L without a row,
+    given exact p_l <= off^2 at every other outcome, p_o >= on^2 and B + B_t <= spread
+    (guard_band, `_spread`). Then C_(o-1), T - C_o <= (L-1) off^2 and T >= on^2, so
+    x = ((L-1) off^2 + spread) / on^2 < u < 1 - x puts u T' between C'_(o-1) and C'_o;
+    lo = 2x covers the rounding of lo and 1 - lo, and keeps u T' over `spread` from both."""
     return 2.0 * ((outcomes - 1) * off * off + spread) / (on * on)
 
 
 def seat_band(n: int) -> float:
-    """`sure_band` of B_i in the intercept's basis for an A outcome B_i overlaps,
-    whose row v, B_i's seat, is B_i up to phase. Row R_w = s_w B_k (1 + t) is a
-    kept part in canonical phase, |t| <= g_4. Parts are Kets and rows passed the
-    Gram check, so |x|^2 is within nu of 1, |x||y| <= w = 1 + 3 nu and |s_w| is
-    within 3 nu of 1. Two kept parts alike to B_i would overlap by over 1 - 1e-4,
-    which the oblique check refuses: B_i is alike to its seat's part alone, and
-    its computed overlap c with each other one is at most ATOL_STATE; |<x|y>| is
-    within c / (1 -+ g_6) -+ g_4n w. Rows lie within _product_error(g_4n w, w, g_13)."""
+    """`sure_band` of B_i in the intercept's basis for an A outcome B_i overlaps, whose
+    row v, B_i's seat, is B_i up to phase. Row R_w = s_w B_k (1 + t), |t| <= g_4, is a kept
+    part in canonical phase. Parts are Kets and rows passed the Gram check, so |x|^2 is
+    within nu of 1, |x||y| <= w = 1 + 3 nu and |s_w| is within 3 nu of 1. The oblique check
+    refuses two kept parts alike to B_i (they would overlap by over 1 - 1e-4), so B_i's
+    computed overlap c with every other row's part is at most ATOL_STATE; |<x|y>| is within
+    c / (1 -+ g_6) -+ g_4n w, and rows lie within _product_error(g_4n w, w, g_13)."""
     nu = (ATOL_EXACT + _gamma(4 * n)) / (1.0 - _gamma(4 * n))
     w, slack = 1.0 + 3.0 * nu, _gamma(4 * n + 4) * (1.0 + 3.0 * nu)
     off = w * (ATOL_STATE / (1.0 - _gamma(6)) + slack)
@@ -498,17 +496,14 @@ def product_sample(parts: tuple[np.ndarray, np.ndarray], kets: tuple[np.ndarray,
     the dense row (the previous candidate's, 0.0 before the first candidate,
     -inf at label 0; its own, +inf at the last label), and then takes its outcome
     from its joint row, `joint_rows` of _BLOCK_FLOATS // m lanes at a time.
-    A lane measuring a basis vector (kets the parts of a StateSet, i = k) takes
-    label i for u in the `sure_band` of off = d, on = 1 - d, spread guard_band(n):
-    the Gram check puts each <A_l|A_i><B_l|B_i> within d of the identity, d =
-    ATOL_EXACT + _product_error(g_4n v, v, g_4)."""
-    (m, n), band = parts[0].shape, guard_band(parts[0].shape[1])
-    out, rest = np.array(i, dtype=np.int64), slice(None)
+    A lane measuring its own basis vector (kets the parts, i = k) takes label i for u in the
+    `sure_band` of off = d, on = 1 - d, spread guard_band(n), d the checked Gram's bound."""
+    (m, n), band, rest = parts[0].shape, guard_band(parts[0].shape[1]), slice(None)
     if kets[0] is parts[0] and kets[1] is parts[1]:
         d = ATOL_EXACT + _product_error(_gamma(4 * n) * (1.0 + ATOL_EXACT), 1.0 + ATOL_EXACT, _gamma(4))
         edge = sure_band(m, d, 1.0 - d, band)
         rest = np.flatnonzero((i != k) | (u <= edge) | (u >= 1.0 - edge))
-    i, k, u = i[rest], k[rest], u[rest]
+    out, i, k, u = np.array(i, dtype=np.int64), i[rest], k[rest], u[rest]
     keys = i * len(kets[1]) + k
     order, first = _runs(keys)
     row = np.cumsum(first) - 1

@@ -884,7 +884,8 @@ def test_intercept_second_leg_at_the_seat_band_ends(monkeypatch):
     # each second-leg lane with a draw at either end of the seat band takes
     # projective_measure's outcome in the basis matched to its A outcome; a
     # lane asks for its row exactly when its label's A-part misses that
-    # outcome or its draw lies outside the open band
+    # outcome or its draw lies outside the open band, keyed by the first
+    # label whose B-part has its label's bytes
     rng = np.random.default_rng(73)
     sets = [build_symmetric(n) for n in (3, 9, 25)]
     sets += [_rephased(build_symmetric(5), rng, 1e-12), _rephased(_shuffled(build_symmetric(4), rng), rng, 1e-12)]
@@ -904,7 +905,8 @@ def test_intercept_second_leg_at_the_seat_band_ends(monkeypatch):
         columns = iter((u_a, u_b))
         asked.clear()
         a, b, _, _ = step(labels, SimpleNamespace(random=lambda: next(columns)))
-        rows = []
+        rows, first = [], {}
+        alike = [first.setdefault(part.tobytes(), label) for label, part in enumerate(s.amps_b)]
         for lane, (label, x) in enumerate(zip(labels.tolist(), u_b.tolist())):
             ket_a, ket_b = s[label].ket_a, s[label].ket_b
             expected_a = _collapse(ket_a, eve._comp, u_a[lane])[0]
@@ -913,7 +915,7 @@ def test_intercept_second_leg_at_the_seat_band_ends(monkeypatch):
             overlaps = math.hypot(ket_a.amps[expected_a].real, ket_a.amps[expected_a].imag) > ATOL_STATE
             missed += not overlaps
             if not overlaps or not lo < x < 1.0 - lo:
-                rows.append(label * n + expected_a)
+                rows.append(alike[label] * n + expected_a)
         assert sorted(asked[1].tolist() if len(asked) > 1 else []) == sorted(rows)
     assert missed > 0  # zero draws on the rephased sets' A outcomes of weight 1e-24
 

@@ -506,10 +506,19 @@ def test_exact_intercept_holds_one_outcomes_rows_at_a_time():
     assert peak < 12 * 2**20
 
 
-def test_intercept_step_never_gathers_a_basis_per_lane():
-    # the second leg reads its seats and forms a row, from its basis, only
-    # for the lanes the seat band leaves: one 41 x 41 basis gathered per
-    # lane of a chunk would take 220 MB
+def test_intercept_step_never_gathers_a_basis_per_lane(monkeypatch):
+    # the second leg broadcasts each conditional basis over its lanes: one
+    # 41 x 41 basis gathered per lane of a chunk would take 220 MB. With no
+    # seat band every lane of the chunk forms its row under the same bound.
+    monkeypatch.setattr(adversary, "seat_band", lambda n: 1.0)
+    sampled = []
+    real_born = adversary.born_sample
+
+    def born(rows, size, keys, u):
+        sampled.append(len(keys))
+        return real_born(rows, size, keys, u)
+
+    monkeypatch.setattr(adversary, "born_sample", born)
     s = build_symmetric(41)
     step, _ = make_strategy("intercept", s)._kernel(s)
     alice = np.random.default_rng(3).integers(0, len(s), protocol.CHUNK_ROUNDS)
@@ -518,6 +527,7 @@ def test_intercept_step_never_gathers_a_basis_per_lane():
     step(alice, draws)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
+    assert sampled == [protocol.CHUNK_ROUNDS, protocol.CHUNK_ROUNDS]
     assert peak < 12 * 2**20
 
 
