@@ -232,10 +232,6 @@ class ConditionalInterceptResend(EveStrategy):
 
     def _kernel(self, state_set: StateSet) -> Kernel:
         n, amps_a, amps_b = state_set.n, state_set.amps_a, state_set.amps_b
-        # alike[i]: the first label whose B-part has B_i's bytes, and so its rows
-        order, first = _runs(amps_b.view(np.dtype((np.void, amps_b.itemsize * n))).ravel())
-        alike = np.empty(len(order), dtype=np.int64)
-        alike[order] = order[first][np.cumsum(first) - 1]
         seats = self._seats if state_set is self.state_set else np.full_like(self._seats, n)
 
         def second_rows(keys):
@@ -252,6 +248,10 @@ class ConditionalInterceptResend(EveStrategy):
             u, lo, b = draws.random(), seat_band(n), seats[alice, a].astype(np.int64)
             rest = np.flatnonzero((b == n) | (u <= lo) | (u >= 1.0 - lo))
             if len(rest):
+                # alike[i]: the first label whose B-part has B_i's bytes, and so its rows
+                order, first = _runs(amps_b.view(np.dtype((np.void, amps_b.itemsize * n))).ravel())
+                alike = np.empty(len(order), dtype=np.int64)
+                alike[order] = order[first][np.cumsum(first) - 1]
                 b[rest] = born_sample(second_rows, n**3, alike[alice[rest]] * n + a[rest], u[rest])
             return a, b, self._inferred[a, b], (a, a * n + b)
 

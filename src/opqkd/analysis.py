@@ -153,11 +153,11 @@ _TREATMENTS = {
     adversary.ConditionalInterceptResend: ExactTreatment(
         _intercept_contributions, min_p, parameterized=p3_formula),
     adversary.MeasureSecondOnly: ExactTreatment(
-        lambda s: [math.fsum(abs(z) ** 4 for z in st.ket_b.amps) for st in s], min_p),
+        lambda s: [math.fsum(abs(z) ** 4 for z in row) for row in s.amps_b], min_p),
     # Bob holds a uniform substitute |r> and the untouched B-part, so the
     # survival chance is the mean squared A amplitude: exactly 1/n.
     adversary.SubstituteCollective: ExactTreatment(
-        lambda s: [math.fsum(abs(z) ** 2 for z in st.ket_a.amps) / s.n for st in s],
+        lambda s: [math.fsum(abs(z) ** 2 for z in row) / s.n for row in s.amps_a],
         lambda n: 1.0 / n, everywhere=True),
 }
 

@@ -30,8 +30,8 @@ from .qcore import (
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 # The most memory a run may use, and the largest n it allows. Only the reference
-# `bob_basis` forms an n^2 x n^2 array: at n = 64 `simulate` peaks at 66-170 MiB
-# (20,000 rounds) and 90-107 MiB (200, every lane flagged). The ceiling stays at
+# `bob_basis` forms an n^2 x n^2 array: at n = 64 `simulate` peaks at 53-159 MiB
+# (20,000 rounds) and 81-99 MiB (200, every lane flagged). The ceiling stays at
 # 64 until the relabelled symmetry search of `validate --set-file` is bounded.
 MEMORY_BUDGET_BYTES = 2 * 2**30
 MAX_DIM = 64
@@ -286,10 +286,10 @@ def _joint_gram_ok(amps_a: np.ndarray, amps_b: np.ndarray) -> bool:
 class StateSet:
     """A complete orthogonal set of n^2 product states plus its layout.
 
-    amps_a and amps_b stack the states' single-particle kets, one row per
-    state; `joint_matrix` forms the joint states on each call."""
+    amps_a and amps_b, the states' parts one row each, are all it keeps: state
+    i is formed on request as views of row i, the joint states on each call."""
 
-    __slots__ = ("states", "layout", "amps_a", "amps_b")
+    __slots__ = ("layout", "amps_a", "amps_b")
 
     def __init__(self, states: Sequence[ProductState], layout: DominoLayout):
         states = tuple(states)
@@ -301,14 +301,23 @@ class StateSet:
                 raise InvalidSetError("states must be listed in label order")
             if st.ket_a.dim != n or st.ket_b.dim != n:
                 raise InvalidSetError("subsystem dimension must match the layout")
-        amps_a = np.concatenate([st.ket_a.amps for st in states]).reshape(-1, n)
-        amps_b = np.concatenate([st.ket_b.amps for st in states]).reshape(-1, n)
+        self._hold(np.concatenate([st.ket_a.amps for st in states]).reshape(-1, n),
+                   np.concatenate([st.ket_b.amps for st in states]).reshape(-1, n), layout)
+
+    @classmethod
+    def _from_layout(cls, layout: DominoLayout) -> "StateSet":
+        # The tiles' own part arrays: each Tile checked its amplitudes, DominoLayout the labels.
+        state_set = object.__new__(cls)
+        state_set._hold(_tile_amps(layout.n, layout.tiles, 0), _tile_amps(layout.n, layout.tiles, 1), layout)
+        return state_set
+
+    def _hold(self, amps_a: np.ndarray, amps_b: np.ndarray, layout: DominoLayout) -> None:
         if not _joint_gram_ok(amps_a, amps_b):
             raise InvalidSetError("joint states must form a complete orthonormal set")
         self._check_layout_consistency(amps_a, amps_b, layout)
         amps_a.setflags(write=False)
         amps_b.setflags(write=False)
-        for name, value in zip(self.__slots__, (states, layout, amps_a, amps_b)):
+        for name, value in zip(self.__slots__, (layout, amps_a, amps_b)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name: str, value) -> None:
@@ -332,14 +341,17 @@ class StateSet:
     def n(self) -> int:
         return self.layout.n
 
+    states = property(tuple)  # tuple(self): every state, formed on request
+
     def __len__(self) -> int:
-        return len(self.states)
+        return len(self.amps_a)
 
     def __iter__(self) -> Iterator[ProductState]:
-        return iter(self.states)
+        return map(ProductState, range(len(self)), map(_checked, self.amps_a), map(_checked, self.amps_b))
 
     def __getitem__(self, index: int) -> ProductState:
-        return self.states[index]
+        i = range(len(self))[index]
+        return ProductState(i, _checked(self.amps_a[i]), _checked(self.amps_b[i]))
 
 
 def _pair_tile(
@@ -369,8 +381,7 @@ def build_3x3(params: SetParameters | None = None) -> StateSet:
         _pair_tile("col", 1, ((0, 1), (2, 1)), p.g, p.h, (6, 7)),
         Tile("singleton", 0, ((0, 0),), np.array([[1.0]]), (8,)),
     )
-    layout = DominoLayout(3, tiles)
-    return StateSet(states_from_tiles(3, tiles), layout)
+    return StateSet._from_layout(DominoLayout(3, tiles))
 
 
 def _fourier_amps(length: int) -> np.ndarray:
@@ -422,9 +433,7 @@ def build_symmetric(n: int) -> StateSet:
             f"no such construction for dimension {n}: a complete orthogonal "
             "product set needs n >= 3"
         )
-    tiles = _symmetric_tiles(n)
-    layout = DominoLayout(n, tiles)
-    return StateSet(states_from_tiles(n, tiles), layout)
+    return StateSet._from_layout(DominoLayout(n, _symmetric_tiles(n)))
 
 
 @dataclass(frozen=True)

@@ -237,8 +237,9 @@ def test_none_strategy_forwards_untouched():
     strategy = EveStrategy()
     rnd = strategy.begin_round(4)
     rng = RngStream(1, 4)
-    assert strategy.first_leg(rnd, s[2].ket_a, rng) is s[2].ket_a
-    assert strategy.second_leg(rnd, s[2].ket_b, rng) is s[2].ket_b
+    prepared = s[2]  # the set forms a new view on each access
+    assert strategy.first_leg(rnd, prepared.ket_a, rng) is prepared.ket_a
+    assert strategy.second_leg(rnd, prepared.ket_b, rng) is prepared.ket_b
     rec = strategy.finish_round(rnd)
     assert rec.variant == "none"
     assert rec.a_outcome is None and rec.b_outcome is None and rec.inferred_state is None
@@ -278,8 +279,9 @@ def test_complementary_leaves_first_leg_alone():
     strategy = MeasureSecondOnly(s)
     rnd = strategy.begin_round(0)
     rng = RngStream(5, 0)
-    assert strategy.first_leg(rnd, s[0].ket_a, rng) is s[0].ket_a
-    forwarded_b = strategy.second_leg(rnd, s[0].ket_b, rng)
+    prepared = s[0]
+    assert strategy.first_leg(rnd, prepared.ket_a, rng) is prepared.ket_a
+    forwarded_b = strategy.second_leg(rnd, prepared.ket_b, rng)
     assert rnd.b_outcome in (0, 1)
     assert states_equivalent(forwarded_b, basis_ket(3, rnd.b_outcome))
     assert rnd.a_outcome is None
@@ -300,9 +302,10 @@ def test_substitute_forwards_computational_substitute():
     s = build_3x3()
     strategy = SubstituteCollective(s)
     rnd = strategy.begin_round(0)
-    forwarded = strategy.first_leg(rnd, s[2].ket_a, RngStream(9, 0))
+    ket_a = s[2].ket_a
+    forwarded = strategy.first_leg(rnd, ket_a, RngStream(9, 0))
     assert any(states_equivalent(forwarded, basis_ket(3, r)) for r in range(3))
-    assert rnd.stored_a is s[2].ket_a
+    assert rnd.stored_a is ket_a
 
 
 def test_make_strategy_names():

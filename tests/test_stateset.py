@@ -231,7 +231,8 @@ def test_stateset_rejects_wrong_order():
 
 @pytest.mark.parametrize("n", [9, 25])
 def test_build_symmetric_checks_each_tile_once_and_no_ket(monkeypatch, n):
-    calls = {"tile": 0, "ket": 0, "states_from_tiles": 0}
+    calls = {"tile": 0, "ket": 0, "view": 0, "state": 0, "states_from_tiles": 0}
+    made = []
 
     def counted(key, fn):
         def wrapper(*args):
@@ -239,18 +240,83 @@ def test_build_symmetric_checks_each_tile_once_and_no_ket(monkeypatch, n):
             return fn(*args)
         return wrapper
 
+    def kept(*args):
+        made.append(tile_amps(*args))
+        return made[-1]
+
+    tile_amps = stateset._tile_amps
     monkeypatch.setattr(Tile, "__post_init__", counted("tile", Tile.__post_init__))
     monkeypatch.setattr(Ket, "__init__", counted("ket", Ket.__init__))
+    monkeypatch.setattr(stateset, "_checked", counted("view", stateset._checked))
+    monkeypatch.setattr(ProductState, "__init__", counted("state", ProductState.__init__))
     monkeypatch.setattr(stateset, "states_from_tiles", counted("states_from_tiles", states_from_tiles))
+    monkeypatch.setattr(stateset, "_tile_amps", kept)
     built = build_symmetric(n)
-    # one states_from_tiles call is build_symmetric's own: StateSet makes none
-    assert calls == {"tile": len(built.layout.tiles), "ket": 0, "states_from_tiles": 1}
+    # the set holds the tiles' own part arrays and forms no state, ket or view
+    assert calls == {"tile": len(built.layout.tiles), "ket": 0, "view": 0, "state": 0, "states_from_tiles": 0}
+    assert built.amps_a is made[0] and built.amps_b is made[1]
+    built[n]  # the spies see a state formed on request
+    assert (calls["state"], calls["view"]) == (1, 2)
 
 
 def test_states_from_tiles_ordering():
     layout = build_symmetric(5).layout
     states = states_from_tiles(5, layout.tiles)
     assert [st.index for st in states] == list(range(25))
+
+
+@pytest.mark.parametrize("n", [3, 4, 9])
+def test_states_are_views_of_the_part_rows(n):
+    s = build_symmetric(n)
+    assert StateSet.__slots__ == ("layout", "amps_a", "amps_b")
+    for i in (0, 1, n, len(s) - 1):
+        st = s[i]
+        assert st.index == i
+        assert np.shares_memory(st.ket_a.amps, s.amps_a[i]) and np.shares_memory(st.ket_b.amps, s.amps_b[i])
+        assert not st.ket_a.amps.flags.writeable and not st.ket_b.amps.flags.writeable
+    assert s[-1].index == len(s) - 1 and s[-len(s)].index == 0
+    for index in (len(s), -len(s) - 1):
+        with pytest.raises(IndexError):
+            s[index]
+    states = list(s)
+    assert [st.index for st in states] == list(range(len(s))) == [st.index for st in s.states]
+    for i, st in enumerate(states):
+        assert np.shares_memory(st.ket_a.amps, s.amps_a[i]) and np.shares_memory(st.ket_b.amps, s.amps_b[i])
+
+
+def _built_sets():
+    for n in range(3, 26):
+        yield f"family n={n}", build_symmetric(n)
+    rng = np.random.default_rng(28)
+    for kind in ("random", "quarter", "transpose", "singletons", "three-cycle"):
+        for n in (3, 4, 6, 9):
+            yield f"{kind} n={n}", StateSet._from_layout(random_tiling(rng, n, kind))
+    for seed in range(20):
+        yield f"3x3 seed {seed}", build_3x3(random_parameters(np.random.default_rng(seed)))
+
+
+def test_every_entry_point_gives_the_builders_arrays_and_text():
+    for where, s in _built_sets():
+        text = stateset_to_text(s)
+        for how, other in (("states", StateSet(tuple(s), s.layout)),
+                           ("states_from_tiles", StateSet(states_from_tiles(s.n, s.layout.tiles), s.layout))):
+            assert other.amps_a.tobytes() == s.amps_a.tobytes(), (where, how)
+            assert other.amps_b.tobytes() == s.amps_b.tobytes(), (where, how)
+            assert stateset_to_text(other) == text, (where, how)
+
+
+def test_build_symmetric_keeps_one_copy_of_each_part():
+    # Two n^2 x n complex part arrays are 8 MiB at n = 64; the tiles' part
+    # arrays held again as the states' kets and n^2 state objects read 20.9
+    # MiB kept and 25.0 MiB at the peak.
+    tracemalloc.start()
+    try:
+        s = build_symmetric(64)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(s) == 64 * 64
+    assert kept <= 13 * 2**20 and peak <= 18 * 2**20, (kept / 2**20, peak / 2**20)
 
 
 def test_four_fold_symmetry_of_parameterized_layout():
