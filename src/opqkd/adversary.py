@@ -15,17 +15,18 @@ import numpy as np
 
 from .errors import InvalidSetError, ProtocolOrderError
 from .qcore import (
-    ATOL_EXACT,
     ATOL_STATE,
     Ket,
     MeasurementBasis,
     RngStream,
     StreamBlocks,
     _canonical_rows,
+    _integer,
     _runs,
     _unit_kets,
     born_rows,
     born_sample,
+    near_identity,
     product_sample,
     projective_measure,
     seat_band,
@@ -79,64 +80,72 @@ def conditional_b_basis(state_set: StateSet, a_outcome: int) -> MeasurementBasis
     |<m|A>| >= 1/sqrt(L); a single cell hosts |m> (x) |c>. Other tiles'
     A-parts have no weight on |m>. StateSet's layout check makes the same
     hold, within ATOL_STATE, for sets read from files."""
-    n = state_set.n
+    n, a_outcome = state_set.n, _integer(a_outcome)
     if not 0 <= a_outcome < n:
         raise ValueError(f"A outcome {a_outcome} out of range for dimension {n}")
     return _conditional_bases(state_set, (a_outcome,))[0]
 
 
 def _conditional_bases(state_set: StateSet, outcomes: Sequence[int]) -> tuple[MeasurementBasis, ...]:
-    return _conditional_parts(state_set, outcomes)[0]
+    return tuple(map(MeasurementBasis._checked, _conditional_parts(state_set, outcomes)[0]))
 
 
-def _conditional_parts(state_set: StateSet, outcomes: Sequence[int]) -> tuple[tuple[MeasurementBasis, ...],
-                                                                               tuple[np.ndarray, ...]]:
-    # conditional_b_basis for each outcome, and the seats (i, j, v): each B_i
-    # overlapping outcomes[j] equals row v of that outcome's basis up to phase.
-    # np.hypot is the scalar abs. Of the B-parts overlapping an outcome, one
-    # equal byte for byte to an earlier one is dropped first: it overlaps the
-    # others as that one does, and sits in its row. A stable sort of the parts'
-    # bytes runs each class in label order, so the first overlapping part of a
-    # class is where its running count reaches 1.
-    # Outcomes keeping as many parts are decided together; the first that fails raises.
+def _conditional_parts(state_set: StateSet, outcomes: Sequence[int]) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    # conditional_b_basis's matrix for each outcome, stacked, and the seats (i, j, v): each B_i
+    # overlapping outcomes[j] equals row v of that outcome's basis up to phase. np.hypot is the
+    # scalar abs. Of the B-parts overlapping an outcome, one equal byte for byte to an earlier one
+    # is dropped first: it overlaps the others as that one does, and sits in its row. A stable sort
+    # of the parts' bytes runs each class in label order, so the first overlapping part of a class
+    # is where its running count reaches 1. The parts of a byte class share one canonical row,
+    # formed once. Outcomes keeping as many parts are decided together; the first that fails
+    # raises. n kept parts whose rows pass the Gram check are n distinct parts, none oblique: a
+    # canonical phase has modulus 1 within a few ulps, so their own overlaps lie within rounding
+    # of the Gram's, ATOL_EXACT = ATOL_STATE / 10 from 0 or 1; only other outcomes form them.
+    def orthonormal(mats):  # each stacked basis's Gram check
+        return near_identity(np.matmul(mats.conj(), mats.transpose(0, 2, 1)))
     n, amps_a, amps_b = state_set.n, state_set.amps_a, state_set.amps_b
-    order, first = _runs(amps_b.view(np.dtype((np.void, amps_b.itemsize * amps_b.shape[1]))).ravel())
-    overlapping = np.hypot(amps_a.real, amps_a.imag)[order][:, outcomes] > ATOL_STATE
-    count = np.cumsum(overlapping, axis=0)
-    kept = np.empty_like(overlapping)
-    kept[order] = overlapping & (count - (count - overlapping)[first][np.cumsum(first) - 1] == 1)
+    order, first = _runs(amps_b)
     byte_class = np.empty(len(order), dtype=np.int64)
-    byte_class[order] = np.cumsum(first) - 1
-    sizes = kept.sum(axis=0)
-    found = np.empty(len(outcomes), dtype=np.int64)  # distinct parts, -1 if some are oblique
+    byte_class[order] = sorted_class = first.cumsum() - 1
+    mags = np.hypot(amps_a.real, amps_a.imag, where=amps_a != 0, out=np.zeros(amps_a.shape))  # hypot(0, 0) = 0
+    overlapping = (mags > ATOL_STATE)[order][:, outcomes]
+    count = overlapping.cumsum(axis=0, dtype=np.int32)
+    kept = np.empty_like(overlapping)
+    kept[order] = overlapping & (count - (count - overlapping)[first][sorted_class] == 1)
+    sizes, canon = kept.sum(axis=0), _canonical_rows(amps_b[order[first]])
+    found = np.zeros(len(outcomes), dtype=np.int64)  # distinct parts, -1 if some are oblique
+    ok = np.zeros(len(outcomes), dtype=bool)  # the basis passed the Gram check
     rows = np.empty((len(outcomes), n), dtype=np.int64)  # labels of each basis's parts
     class_seat = np.empty((len(outcomes), np.count_nonzero(first)), dtype=np.int32)
-    for size in np.flatnonzero(np.bincount(sizes)):
+    for size in np.flatnonzero(np.bincount(sizes)[1:]) + 1:
         group = np.flatnonzero(sizes == size)
-        labels = np.nonzero(kept[:, group].T)[1].reshape(len(group), size)
-        parts = amps_b[labels]
-        overlaps = np.abs(np.matmul(parts.conj(), parts.transpose(0, 2, 1)))
-        alike = np.abs(overlaps - 1.0) <= ATOL_STATE  # equal up to phase
-        distinct = ~np.tril(alike, -1).any(axis=2)
-        found[group] = np.where((~alike & (overlaps > ATOL_STATE)).any(axis=(1, 2)), -1, distinct.sum(1))
+        labels = kept[:, group].T.nonzero()[1].reshape(len(group), size)
+        ok[group] = size == n and orthonormal(canon[byte_class[labels]])
+        alike, oblique = np.broadcast_to(np.eye(size, dtype=bool), (len(group), size, size)), False
+        if not ok[group].all():
+            parts = amps_b[labels]
+            overlaps = np.abs(np.matmul(parts.conj(), parts.transpose(0, 2, 1)))
+            alike = np.abs(overlaps - 1.0) <= ATOL_STATE  # equal up to phase; a ket is alike to itself
+            oblique = (~alike & (overlaps > ATOL_STATE)).any(axis=(1, 2))
+        twin = alike.argmax(axis=2)  # the first part each is alike to, whose row it sits in
+        distinct = twin == np.arange(size)
+        found[group] = np.where(oblique, -1, distinct.sum(1))
         whole = found[group] == n
         rows[group[whole]] = labels[whole][distinct[whole]].reshape(-1, n)
-        if size:  # a kept part sits in the row of the first part it is alike to
-            seats = np.take_along_axis(np.cumsum(distinct, axis=1) - 1, alike.argmax(axis=2), axis=1)
-            class_seat[group[:, None], byte_class[labels]] = seats
-    mats = _canonical_rows(amps_b[rows[found == n].ravel()]).reshape(-1, n, n)
-    gram = np.matmul(mats.conj(), mats.transpose(0, 2, 1)) - np.eye(n)
-    orthonormal = iter(np.all(np.abs(gram) <= ATOL_EXACT, axis=(1, 2)).tolist())
+        if size != n:  # the distinct parts' rows
+            ok[group[whole]] = orthonormal(canon[byte_class[rows[group[whole]]]])
+        class_seat[group[:, None], byte_class[labels]] = np.take_along_axis(distinct.cumsum(axis=1) - 1, twin, axis=1)
+    mats = canon[byte_class[rows[found == n].ravel()]].reshape(-1, n, n)
+    checked = iter(ok[found == n].tolist())
     for m, parts_left in zip(outcomes, found.tolist()):
         if parts_left < 0:
             raise InvalidSetError(f"B-parts overlapping A outcome {m} are not mutually orthogonal")
         if parts_left != n:
             raise InvalidSetError(f"A outcome {m} leaves {parts_left} distinct B-parts, not {n}")
-        if not next(orthonormal):
+        if not next(checked):
             raise ValueError("basis vectors are not orthonormal")
     at, j = np.nonzero(overlapping)
-    i = order[at]
-    return tuple(MeasurementBasis._checked(mat) for mat in mats), (i, j, class_seat[j, byte_class[i]])
+    return mats, (order[at], j, class_seat[j, sorted_class[at]])
 
 
 class EveStrategy:
@@ -154,11 +163,17 @@ class EveStrategy:
     variant = "none"
 
     def __init__(self, state_set: StateSet | None = None):
+        if state_set is None and self.name != EveStrategy.name:
+            raise ValueError("this strategy needs the public state set")
         self.state_set = state_set
 
     def _kernel(self, state_set: StateSet) -> Kernel:
         return (lambda alice, draws: (None, None, None, (alice, alice)),
                 (state_set.amps_a, state_set.amps_b))
+
+    @cached_property
+    def _comp(self) -> MeasurementBasis:  # for the hooks that measure in it; kernels use np.eye
+        return MeasurementBasis.computational(self.state_set.n)
 
     def begin_round(self, round_id: int) -> EveRound:
         return EveRound(round_id)
@@ -185,12 +200,6 @@ class EveStrategy:
         return ket_b
 
 
-def _require_set(state_set: StateSet | None) -> StateSet:
-    if state_set is None:
-        raise ValueError("this strategy needs the public state set")
-    return state_set
-
-
 class ConditionalInterceptResend(EveStrategy):
     """Measure A in the computational basis, then measure B in the basis
     matched to that outcome; resend the collapsed states."""
@@ -199,10 +208,9 @@ class ConditionalInterceptResend(EveStrategy):
     variant = "intercept-resend-conditional"
 
     def __init__(self, state_set: StateSet):
-        super().__init__(_require_set(state_set))
+        super().__init__(state_set)
         n = state_set.n
-        self._comp = MeasurementBasis.computational(n)
-        self._b_bases, (i, m, v) = _conditional_parts(state_set, range(n))
+        self._b_mats, (i, m, v) = _conditional_parts(state_set, range(n))
         # inferred[m, v]: the first label i maximising |<m|A_i>|^2 |<v|B_i>|^2, v in the
         # basis matched to m. Row v is B_i up to phase for the labels seated at it, and
         # is orthogonal to the other parts overlapping m, so only those labels score,
@@ -217,6 +225,10 @@ class ConditionalInterceptResend(EveStrategy):
         # seats[i, m]: the row of the basis matched to m that is B_i up to phase, n if B_i misses |m>
         self._seats = np.full((n * n, n), n, dtype=np.min_scalar_type(n))
         self._seats[i, m] = v
+
+    @cached_property
+    def _b_bases(self) -> tuple[MeasurementBasis, ...]:
+        return tuple(map(MeasurementBasis._checked, self._b_mats))
 
     def _intercept_first(self, rnd: EveRound, ket_a: Ket, rng: RngStream) -> Ket:
         outcome, collapsed = projective_measure(ket_a, self._comp, rng)
@@ -240,7 +252,7 @@ class ConditionalInterceptResend(EveStrategy):
             order, first = _runs(m)
             rows = np.empty((len(keys), n))
             for run in np.split(order, np.flatnonzero(first)[1:]):
-                rows[run] = born_rows(self._b_bases[m[run[0]]]._conj_matrix, amps_b[i[run]])
+                rows[run] = born_rows(self._b_mats[m[run[0]]].conj(), amps_b[i[run]])
             return rows
 
         def step(alice, draws):
@@ -249,14 +261,13 @@ class ConditionalInterceptResend(EveStrategy):
             rest = np.flatnonzero((b == n) | (u <= lo) | (u >= 1.0 - lo))
             if len(rest):
                 # alike[i]: the first label whose B-part has B_i's bytes, and so its rows
-                order, first = _runs(amps_b.view(np.dtype((np.void, amps_b.itemsize * n))).ravel())
+                order, first = _runs(amps_b)
                 alike = np.empty(len(order), dtype=np.int64)
                 alike[order] = order[first][np.cumsum(first) - 1]
                 b[rest] = born_sample(second_rows, n**3, alike[alice[rest]] * n + a[rest], u[rest])
             return a, b, self._inferred[a, b], (a, a * n + b)
 
-        return step, (_canonical_rows(self._comp.matrix),
-                      _canonical_rows(np.concatenate([b.matrix for b in self._b_bases])))
+        return step, (np.eye(n, dtype=np.complex128), _canonical_rows(self._b_mats.reshape(-1, n)))
 
 
 class MeasureSecondOnly(EveStrategy):
@@ -266,8 +277,7 @@ class MeasureSecondOnly(EveStrategy):
     variant = "measure-second-only"
 
     def __init__(self, state_set: StateSet):
-        super().__init__(_require_set(state_set))
-        self._comp = MeasurementBasis.computational(state_set.n)
+        super().__init__(state_set)
         self._inferred = np.argmax(np.abs(state_set.amps_b) ** 2, axis=0)  # over i of |<l|B_i>|^2
 
     def _intercept_second(self, rnd: EveRound, ket_b: Ket, rng: RngStream) -> Ket:
@@ -283,7 +293,7 @@ class MeasureSecondOnly(EveStrategy):
             b = born_sample(lambda i: np.abs(amps_b[i]) ** 2, len(amps_b), alice, draws.random())
             return None, b, self._inferred[b], (alice, b)
 
-        return step, (state_set.amps_a, _canonical_rows(self._comp.matrix))
+        return step, (state_set.amps_a, np.eye(self.state_set.n, dtype=np.complex128))
 
 
 class SubstituteCollective(EveStrategy):
@@ -293,9 +303,9 @@ class SubstituteCollective(EveStrategy):
     name = "substitute"
     variant = "substitute-collective"
 
-    def __init__(self, state_set: StateSet):
-        super().__init__(_require_set(state_set))
-        self._substitutes = _unit_kets(state_set.n)
+    @cached_property
+    def _substitutes(self) -> tuple[Ket, ...]:
+        return _unit_kets(self.state_set.n)
 
     @cached_property
     def _joint_basis(self) -> MeasurementBasis:
@@ -321,7 +331,7 @@ class SubstituteCollective(EveStrategy):
             o, _ = product_sample(parts, held, alice, alice, draws.random())
             return None, o, o, (k, o)
 
-        return step, (np.stack([ket.amps for ket in self._substitutes]), self.state_set.amps_b)
+        return step, (np.eye(own.n, dtype=np.complex128), own.amps_b)
 
 
 # Every strategy, the honest channel first; the others are the attacks.

@@ -52,14 +52,16 @@ class EstimateResult:
 def _intercept_contributions(state_set: StateSet) -> list[float]:
     # One A outcome m at a time, the rows of born_probabilities for the states
     # of nonzero weight w = |<m|A_i>|^2, a scalar abs squared by pow, which an
-    # array square may round differently. fsum takes terms in any order.
+    # array square may round differently. fsum takes terms in any order, and
+    # a row's exact zeros change no sum, so each row gives its nonzero terms.
     terms: list[list[float]] = [[] for _ in state_set]
-    for m, basis in enumerate(adversary._conditional_bases(state_set, range(state_set.n))):
+    for m, mat in enumerate(adversary._conditional_parts(state_set, range(state_set.n))[0]):
         states = np.flatnonzero(state_set.amps_a[:, m])
-        rows = born_rows(basis._conj_matrix, state_set.amps_b[states]) ** 2
-        for i, z, row in zip(states.tolist(), state_set.amps_a[states, m].tolist(), rows.tolist()):
+        rows = born_rows(mat.conj(), state_set.amps_b[states]) ** 2
+        values, ends = rows[rows != 0].tolist(), np.count_nonzero(rows, axis=1).cumsum().tolist()
+        for i, z, lo, hi in zip(states.tolist(), state_set.amps_a[states, m].tolist(), [0, *ends], ends):
             if w := abs(z) ** 2:
-                terms[i].append(w * w * math.fsum(row))
+                terms[i].append(w * w * math.fsum(values[lo:hi]))
     return [math.fsum(t) for t in terms]
 
 

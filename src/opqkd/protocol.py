@@ -168,8 +168,8 @@ def round_columns(
         raise TypeError(f"{type(strategy).__name__} defines no _kernel of its own")
     step, forwarded = strategy._kernel(state_set)
     for start in range(0, rounds, CHUNK_ROUNDS):
-        ids = range(start, min(start + CHUNK_ROUNDS, rounds))
-        draws = StreamBlocks(philox_block(seed, np.array(ids)))
+        ids = np.arange(start, min(start + CHUNK_ROUNDS, rounds), dtype=np.uint64)
+        draws = StreamBlocks(philox_block(seed, ids))
         columns = _kernel_columns(state_set, step, forwarded, draws)
         for lane in np.flatnonzero(draws.unsure).tolist():
             columns[:, lane:lane + 1] = _kernel_columns(

@@ -2,6 +2,7 @@
 and keyed deterministic random streams."""
 from __future__ import annotations
 
+import operator
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -115,13 +116,13 @@ def _canonical_rows(kets: np.ndarray) -> np.ndarray:
     return kets * scale[:, None]
 
 
-def near_identity(rows: np.ndarray, first: int = 0) -> bool:
+def near_identity(rows: np.ndarray, first: int = 0) -> np.ndarray:
     """np.allclose(rows, I[first:first + r], atol=ATOL_EXACT, rtol=0) for r
-    rows of a square identity I, or for each of a stack of such blocks,
-    without forming it; `rows` may be overwritten."""
+    rows of a square identity I, a verdict for each of a stack of such
+    blocks, without forming it; `rows` may be overwritten."""
     flat = rows.reshape(-1, rows.shape[-2] * rows.shape[-1])
     flat[:, first :: rows.shape[-1] + 1] -= 1.0
-    return bool(np.all(np.abs(flat) <= ATOL_EXACT))
+    return np.all(np.abs(flat) <= ATOL_EXACT, axis=1)
 
 
 def states_equivalent(x: Ket, y: Ket, tol: float = ATOL_STATE) -> bool:
@@ -208,9 +209,16 @@ def born_rows(conj_matrix: np.ndarray, amps: np.ndarray) -> np.ndarray:
     return np.abs(np.matmul(conj_matrix, amps[..., None])[..., 0]) ** 2
 
 
+def _integer(value) -> int:
+    # A count, a label or a seed: operator.index refuses 3.9 and "3", a bool (JSON true) is refused too.
+    if isinstance(value, bool):
+        raise TypeError(f"{value!r} is not an integer")
+    return operator.index(value)
+
+
 def key_word(name: str, value: int) -> int:
     """`value` as an int, once it is checked to fit a 64-bit Philox key word."""
-    value = int(value)
+    value = _integer(value)
     if not 0 <= value < _MAX_UINT64:
         raise ValueError(f"{name} must be in [0, 2^64), got {value}")
     return value
@@ -270,12 +278,18 @@ def projective_measure(state: Ket, basis: MeasurementBasis, rng: RngStream) -> t
 
 
 def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A stable sorting order of keys, and which of its positions start a
-    run of equal keys (np.unique would load numpy.ma on first use). Integer
+    """A stable sorting order of keys, a 2-D array's keys being its rows' bytes, and which of its
+    positions start a run of equal keys (np.unique would load numpy.ma on first use). Integer
     keys in [0, 2^16) are sorted as uint16, which numpy radix-sorts."""
+    if keys.ndim == 2:  # each row sorted as one np.void, compared with its neighbour as words
+        order = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel().argsort(kind="stable")
+        ordered = keys.view(np.uint64 if keys.itemsize % 8 == 0 else np.uint8)[order]
+        first = np.ones(len(keys), dtype=bool)
+        np.any(ordered[1:] != ordered[:-1], axis=1, out=first[1:])
+        return order, first
     if keys.dtype.kind in "iu" and keys.min(initial=0) >= 0 and keys.max(initial=0) < 2**16:
         keys = keys.astype(np.uint16)
-    order = np.argsort(keys, kind="stable")
+    order = keys.argsort(kind="stable")
     ordered = keys[order]
     first = np.ones(len(keys), dtype=bool)
     first[1:] = ordered[1:] != ordered[:-1]
@@ -306,8 +320,8 @@ def born_sample(rows: Callable[[np.ndarray], np.ndarray], size: int,
     those `projective_measure` takes from the same numbers and draws."""
     wanted = np.zeros(size, dtype=bool)
     wanted[keys] = True
-    cumulative, totals = _cumulative(rows(np.flatnonzero(wanted)))
-    row = (np.cumsum(wanted) - 1)[keys]
+    cumulative, totals = _cumulative(rows(wanted.nonzero()[0]))
+    row = (wanted.cumsum() - 1)[keys]
     return _search(cumulative, row, u * totals[row])
 
 
@@ -389,9 +403,9 @@ def seat_band(n: int) -> float:
     row v, B_i's seat, is B_i up to phase. Row R_w = s_w B_k (1 + t), |t| <= g_4, is a kept
     part in canonical phase. Parts are Kets and rows passed the Gram check, so |x|^2 is
     within nu of 1, |x||y| <= w = 1 + 3 nu and |s_w| is within 3 nu of 1. The oblique check
-    refuses two kept parts alike to B_i (they would overlap by over 1 - 1e-4), so B_i's
-    computed overlap c with every other row's part is at most ATOL_STATE; |<x|y>| is within
-    c / (1 -+ g_6) -+ g_4n w, and rows lie within _product_error(g_4n w, w, g_13)."""
+    refuses two kept parts alike to B_i (they would overlap by over 1 - 1e-4), so B_i's computed
+    overlap c with every other row's part (or one within rounding of the Gram check's) is at most
+    ATOL_STATE; |<x|y>| is within c / (1 -+ g_6) -+ g_4n w, and rows lie within _product_error(g_4n w, w, g_13)."""
     nu = (ATOL_EXACT + _gamma(4 * n)) / (1.0 - _gamma(4 * n))
     w, slack = 1.0 + 3.0 * nu, _gamma(4 * n + 4) * (1.0 + 3.0 * nu)
     off = w * (ATOL_STATE / (1.0 - _gamma(6)) + slack)
@@ -415,13 +429,13 @@ def _search(cumulative: np.ndarray, rows: np.ndarray, target: np.ndarray) -> np.
 
 
 def _label_runs(parts: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """First label of each run of labels with equal supports, and each
-    particle's run supports as float32 columns."""
-    nonzero = np.concatenate([amps != 0 for amps in parts], axis=1)
-    start = np.ones(len(nonzero), dtype=bool)
-    np.any(nonzero[1:] != nonzero[:-1], axis=1, out=start[1:])
-    run = np.flatnonzero(start)
-    return run, nonzero[run].T.astype(np.float32).reshape(2, -1, len(run))
+    """Where each run of labels with equal supports starts, then the label count; and each
+    particle's run supports as float32 columns. An entry is nonzero where its real or imaginary word is."""
+    nonzero = np.concatenate([amps.view(np.float64) != 0 for amps in parts], axis=1).view(np.uint16) != 0
+    start = np.ones(len(nonzero) + 1, dtype=bool)
+    np.any(nonzero[1:] != nonzero[:-1], axis=1, out=start[1:-1])
+    edges = start.nonzero()[0]
+    return edges, nonzero[edges[:-1]].T.astype(np.float32).reshape(2, -1, len(edges) - 1)
 
 
 def _candidate_rows(parts: tuple[np.ndarray, np.ndarray], kets: tuple[np.ndarray, np.ndarray],
@@ -437,43 +451,40 @@ def _candidate_rows(parts: tuple[np.ndarray, np.ndarray], kets: tuple[np.ndarray
     if not len(i):
         return
     # a pair meets a run where the overlap counts, small integers, are not 0
-    run, meet = _label_runs(parts)
-    step = max(1, _BLOCK_FLOATS // len(run))
-    found = [(lo, *np.nonzero((kets[0][i[lo:lo + step]] != 0) @ meet[0] * ((kets[1][k[lo:lo + step]] != 0) @ meet[1])))
+    edges, meet = _label_runs(parts)
+    step = max(1, _BLOCK_FLOATS // (len(edges) - 1))
+    found = [(lo, *((kets[0][i[lo:lo + step]] != 0) @ meet[0] * ((kets[1][k[lo:lo + step]] != 0) @ meet[1])).nonzero())
              for lo in range(0, len(i), step)]
     pair, met = (np.concatenate(column) for column in zip(*[(lo + r, c) for lo, r, c in found]))
-    size = np.diff(run, append=m)[met]
-    offset = np.cumsum(size) - size
-    label = np.arange(offset[-1] + size[-1]) + np.repeat(run[met] - offset, size)
-    probs = np.ones(len(label))
+    size = edges[met + 1] - edges[met]
+    offset = size.cumsum() - size
+    label = np.arange(offset[-1] + size[-1]) + (edges[met] - offset).repeat(size)
+    probs, owner = np.ones(len(label)), pair.repeat(size)  # owner: each candidate's pair
     for amps, ket, index in zip(parts, kets, (i, k)):
         used = np.zeros(len(ket), dtype=bool)
         used[index] = True
         if np.count_nonzero(used) * m <= _BLOCK_FLOATS:
-            # few kets: the factors of every label, from one product
-            probs *= np.abs((ket[used] @ amps.conj().T).ravel().take(
-                np.repeat((np.cumsum(used) - 1)[index[pair]] * m, size) + label)) ** 2
+            # few kets: every label's factor, conjugated, from one product: exact conjugates, same moduli
+            probs *= np.abs((ket[used].conj() @ amps.T)[(used.cumsum() - 1)[index[owner]], label]) ** 2
             continue
         # else each run's factors for the pairs that meet it, from one product
         order, first = _runs(met)
         for runs in np.split(order, np.flatnonzero(first)[1:]):
-            labels = np.arange(run[met[runs[0]]], run[met[runs[0]]] + size[runs[0]])
+            labels = np.arange(edges[met[runs[0]]], edges[met[runs[0]] + 1])
             step = max(1, _BLOCK_FLOATS // len(labels))
             for lo in range(0, len(runs), step):
                 at = offset[runs[lo:lo + step]] + np.arange(len(labels))[:, None]
                 probs[at] *= np.abs(amps[labels].conj() @ ket[index[pair[runs[lo:lo + step]]]].T) ** 2
-    pair = np.repeat(pair, size)
-    counts = np.bincount(pair, minlength=len(i))
-    start = np.cumsum(counts) - counts
+    counts = np.bincount(owner, minlength=len(i))
+    start = counts.cumsum() - counts
     step = max(1, _BLOCK_FLOATS // int(counts.max()))
     for lo in range(0, len(i), step):
         block = counts[lo:lo + step]
+        fill = np.arange(block.max()) < block[:, None]  # row-major: each pair's candidates in order
+        cumulative, labels = np.zeros(fill.shape), np.zeros(fill.shape, dtype=np.int64)
         entries = slice(start[lo], start[lo] + block.sum())
-        at = (pair[entries] - lo, np.arange(entries.start, entries.stop) - start[pair[entries]])
-        cumulative = np.zeros((len(block), int(block.max())))
-        labels = np.zeros(cumulative.shape, dtype=np.int64)
-        cumulative[at], labels[at] = probs[entries], label[entries]
-        yield lo, labels, block, np.cumsum(cumulative, axis=1, out=cumulative)
+        cumulative[fill], labels[fill] = probs[entries], label[entries]
+        yield lo, labels, block, cumulative.cumsum(axis=1, out=cumulative)
 
 
 def joint_rows(parts: tuple[np.ndarray, np.ndarray], amps: np.ndarray) -> np.ndarray:
@@ -502,14 +513,14 @@ def product_sample(parts: tuple[np.ndarray, np.ndarray], kets: tuple[np.ndarray,
     if kets[0] is parts[0] and kets[1] is parts[1]:
         d = ATOL_EXACT + _product_error(_gamma(4 * n) * (1.0 + ATOL_EXACT), 1.0 + ATOL_EXACT, _gamma(4))
         edge = sure_band(m, d, 1.0 - d, band)
-        rest = np.flatnonzero((i != k) | (u <= edge) | (u >= 1.0 - edge))
+        rest = ((i != k) | (u <= edge) | (u >= 1.0 - edge)).nonzero()[0]
     out, i, k, u = np.array(i, dtype=np.int64), i[rest], k[rest], u[rest]
     keys = i * len(kets[1]) + k
     order, first = _runs(keys)
-    row = np.cumsum(first) - 1
+    row = first.cumsum() - 1
     outcomes, close = np.empty(len(keys), dtype=np.int64), np.zeros(len(keys), dtype=bool)
     for lo, labels, counts, cumulative in _candidate_rows(parts, kets, *np.divmod(keys[order[first]], len(kets[1]))):
-        a, b = np.searchsorted(row, (lo, lo + len(counts)))
+        a, b = row.searchsorted((lo, lo + len(counts)))
         lanes, r = order[a:b], row[a:b] - lo
         target = u[lanes] * cumulative[r, -1]
         pos = np.minimum(_search(cumulative, r, target), counts[r] - 1)
@@ -517,7 +528,7 @@ def product_sample(parts: tuple[np.ndarray, np.ndarray], kets: tuple[np.ndarray,
         below = np.where(pos > 0, cumulative[r, np.maximum(pos - 1, 0)], np.where(label > 0, 0.0, -np.inf))
         above = np.where(label < m - 1, cumulative[r, pos], np.inf)
         close[lanes] = (target - below <= band) | (above - target <= band)
-    flagged, step = np.flatnonzero(close), max(1, _BLOCK_FLOATS // m)
+    flagged, step = close.nonzero()[0], max(1, _BLOCK_FLOATS // m)
     for lanes in (flagged[lo:lo + step] for lo in range(0, len(flagged), step)):
         exact, total = _cumulative(joint_rows(parts, joint_amps(kets[0][i[lanes]], kets[1][k[lanes]])))
         outcomes[lanes] = _search(exact, np.arange(len(lanes)), u[lanes] * total)

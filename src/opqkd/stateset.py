@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -22,6 +21,7 @@ from .qcore import (
     Ket,
     MeasurementBasis,
     _checked,
+    _integer,
     _runs,
     joint_amps,
     near_identity,
@@ -45,14 +45,6 @@ def check_dim(what: str, n: int) -> int:
         raise UnsupportedDimensionError(
             f"{what} {n} exceeds {MAX_DIM}, the largest dimension supported")
     return n
-
-
-def _integer(value) -> int:
-    # A count or a label: operator.index refuses 3.9 and "3"; JSON true would
-    # pass it as 1.
-    if isinstance(value, bool):
-        raise TypeError(f"{value!r} is not an integer")
-    return operator.index(value)
 
 
 def _unit_pair(x: complex, y: complex, names: str) -> None:
@@ -250,7 +242,7 @@ def _components(sa: np.ndarray, sb: np.ndarray) -> np.ndarray:
 def _support_groups(nonzero: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each row's group and each group's pattern: one `_runs` over the packed rows."""
     packed = np.packbits(nonzero, axis=1)
-    order, first = _runs(packed.view(np.dtype((np.void, packed.shape[1]))).ravel())
+    order, first = _runs(packed)
     group = np.empty(len(order), dtype=np.int64)
     group[order] = np.cumsum(first) - 1
     return group, nonzero[order[first]]
@@ -278,7 +270,7 @@ def _joint_gram_ok(amps_a: np.ndarray, amps_b: np.ndarray) -> bool:
             for top in range(0, k, step):
                 gram = xa[c:c + span, top:top + step].conj() @ xa[c:c + span].transpose(0, 2, 1)
                 gram *= xb[c:c + span, top:top + step].conj() @ xb[c:c + span].transpose(0, 2, 1)
-                if not near_identity(gram, top):
+                if not near_identity(gram, top).all():
                     return False
     return True
 
@@ -461,7 +453,7 @@ def _oblique_partners(amps: np.ndarray, width: np.ndarray) -> tuple[bool, ...]:
     # still open meet the others narrowest support first, _GRAM_BLOCK / 8
     # |overlaps| at a time, and leave once they have a partner: on a tiling,
     # a part on one line is oblique to each part spread across that line.
-    order, first = _runs(amps.view(np.dtype((np.void, amps.itemsize * amps.shape[1]))).ravel())
+    order, first = _runs(amps)
     found = np.zeros(len(amps), dtype=bool)
     open_ = order[first]
     rows = amps[open_]

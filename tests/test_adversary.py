@@ -46,7 +46,7 @@ from opqkd import (
 )
 from opqkd import adversary, qcore
 from opqkd.adversary import STRATEGY_NAMES, _conditional_bases, canonical_variant
-from opqkd.analysis import exact_undetected_prob
+from opqkd.analysis import exact_undetected_prob, monte_carlo_estimate
 from opqkd.protocol import round_columns
 from opqkd.qcore import (
     ATOL_STATE,
@@ -112,6 +112,16 @@ def test_conditional_basis_outcome_range():
         conditional_b_basis(s, 3)
     with pytest.raises(ValueError):
         conditional_b_basis(s, -1)
+
+
+def test_conditional_basis_outcome_is_an_integer():
+    # a bool or a float is refused as the outcome it is not, not by numpy's indexing
+    s = build_3x3()
+    for outcome in (True, 1.0, 0.5, "1"):
+        with pytest.raises(TypeError, match="integer"):
+            conditional_b_basis(s, outcome)
+    for outcome in (np.int64(1), np.uint8(1)):
+        assert conditional_b_basis(s, outcome).matrix.tobytes() == conditional_b_basis(s, 1).matrix.tobytes()
 
 
 def test_conditional_basis_rejects_oblique_b_parts():
@@ -317,8 +327,9 @@ def test_make_strategy_names():
     assert isinstance(make_strategy("substitute", s), SubstituteCollective)
     with pytest.raises(ValueError):
         make_strategy("mitm", s)
-    with pytest.raises(ValueError):
-        make_strategy("intercept")  # needs the set
+    for name in adversary.ATTACK_NAMES:  # every attack needs the set
+        with pytest.raises(ValueError, match="needs the public state set"):
+            make_strategy(name)
 
 
 def test_canonical_variant():
@@ -354,9 +365,11 @@ def _dense_rows(parts, kets, i, k):
 
 
 def _assert_runs_match_support_groups(parts):
-    # the run scan of neighbouring labels finds the runs of support groups
-    run, meet = _label_runs(parts)
-    ref_run, ref_meet = support_group_runs(parts)
+    # the run scan of neighbouring labels finds the runs of support groups,
+    # and closes the last run at the label count
+    edges, meet = _label_runs(parts)
+    run, ref_run, ref_meet = edges[:-1], *support_group_runs(parts)
+    assert edges[-1] == len(parts[0])
     assert run.dtype == ref_run.dtype and np.array_equal(run, ref_run)
     for got, ref in zip(meet, ref_meet, strict=True):
         assert got.dtype == ref.dtype and np.array_equal(got, ref)
@@ -1018,6 +1031,19 @@ def test_conditional_bases_raise_the_first_failing_outcomes_error():
             _conditional_bases(fake, outcomes)
 
 
+def test_n_kept_parts_failing_the_gram_check_are_decided_from_their_overlaps():
+    # an outcome keeping n parts skips the parts' own overlaps only when their
+    # rows pass the Gram check; a phase twin or an oblique part among them fails
+    # it, and the outcome gets the error the parts' overlaps give
+    twin, oblique = Ket(np.array([cmath.exp(0.3j), 0, 0])), normalize([1, 1, 0])
+    for second, message in ((twin, "A outcome 0 leaves 2 distinct"), (oblique, "not mutually orthogonal")):
+        fake = _stacked_parts([(basis_ket(3, 0), basis_ket(3, 0)), (basis_ket(3, 0), second),
+                               (basis_ket(3, 0), basis_ket(3, 2))])
+        for build in (lambda: _conditional_bases(fake, (0,)), lambda: _own_conditional_basis(fake.amps_b, 0)):
+            with pytest.raises(InvalidSetError, match=message):
+                build()
+
+
 def test_born_sample_asks_once_for_the_distinct_keys():
     # each call asks once for the rows of its distinct keys, in ascending
     # order, and each lane takes _outcome on its own key's row
@@ -1121,3 +1147,42 @@ def test_exact_intercept_equals_the_scalar_sum_property(data):
 def test_exact_intercept_equals_the_scalar_sum(n):
     # at n = 44 an array square of the weights differs from the scalar one
     _assert_exact_intercept_is_the_scalar_sum(_family(n))
+
+
+@pytest.mark.parametrize("n", range(3, 26))
+def test_kernels_forward_the_bytes_of_the_hooks_kets(n):
+    # the kernels form their identity stacks from np.eye; the hooks build the
+    # checked computational basis and unit kets on first use, with those bytes
+    s = build_symmetric(n)
+    comp = _canonical_rows(MeasurementBasis.computational(n).matrix)
+    units = np.stack([ket.amps for ket in qcore._unit_kets(n)])
+    intercept, second_only, substitute = (make_strategy(name, s) for name in adversary.ATTACK_NAMES)
+    for strategy, (sent_a, sent_b) in ((intercept, (comp, _canonical_rows(
+            np.concatenate([b.matrix for b in intercept._b_bases])))),
+            (second_only, (s.amps_a, comp)), (substitute, (units, s.amps_b))):
+        for got, expected in zip(strategy._kernel(s)[1], (sent_a, sent_b), strict=True):
+            assert got.dtype == expected.dtype and got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes()
+    for strategy in (intercept, second_only):
+        assert isinstance(strategy._comp, MeasurementBasis)
+        assert strategy._comp.matrix.tobytes() == MeasurementBasis.computational(n).matrix.tobytes()
+    assert all(isinstance(b, MeasurementBasis) for b in intercept._b_bases)
+    assert all(isinstance(k, Ket) for k in substitute._substitutes) and len(substitute._substitutes) == n
+
+
+@pytest.mark.parametrize("n", [9, 25])
+@pytest.mark.parametrize("name", adversary.ATTACK_NAMES)
+def test_an_estimate_keeps_nothing_once_it_returns(n, name):
+    # what an estimate builds, lazily or not, goes with it: traced memory is
+    # back within 64 KiB of its level before the call
+    s = build_symmetric(n)
+    trials = {9: 2000, 25: 100}[n]
+    monte_carlo_estimate(s, name, trials, 1)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        monte_carlo_estimate(s, name, trials, 2)
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert after - before < 64 * 2**10

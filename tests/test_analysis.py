@@ -22,8 +22,9 @@ from opqkd import (
     p_recurrence_step,
     states_from_tiles,
 )
-from opqkd.adversary import STRATEGIES
+from opqkd.adversary import STRATEGIES, _conditional_bases
 from opqkd.analysis import RECURRENCE_ATOL
+from opqkd.qcore import born_rows
 
 # Anchor values for the balanced recursive sets, derived by hand from the
 # tile structure before the library existed; see also the enumeration oracle.
@@ -208,6 +209,44 @@ def test_monte_carlo_requires_trials():
 def test_monte_carlo_rejects_seeds_outside_64_bits(seed):
     with pytest.raises(ValueError, match=r"seed must be in \[0, 2\^64\)"):
         monte_carlo_estimate(build_symmetric(3), "intercept", 10, seed=seed)
+
+
+@pytest.mark.parametrize("seed", [1.5, 1.0, True, "1"])
+def test_monte_carlo_refuses_seeds_that_are_not_integers(seed):
+    # an estimate runs the seed it records: 1.5 would have run seed 1
+    with pytest.raises(TypeError, match="integer"):
+        monte_carlo_estimate(build_symmetric(3), "intercept", 10, seed=seed)
+
+
+def test_monte_carlo_takes_numpy_integer_seeds():
+    s = build_symmetric(3)
+    expected = monte_carlo_estimate(s, "intercept", 300, seed=1)
+    for seed in (np.int64(1), np.uint64(1)):
+        got = monte_carlo_estimate(s, "intercept", 300, seed=seed)
+        assert got == expected
+
+
+def _old_intercept_contributions(s):
+    # the earlier treatment: fsum over every entry of each row, zeros included
+    terms = [[] for _ in s]
+    for m, basis in enumerate(_conditional_bases(s, range(s.n))):
+        states = np.flatnonzero(s.amps_a[:, m])
+        rows = born_rows(basis._conj_matrix, s.amps_b[states]) ** 2
+        for i, z, row in zip(states.tolist(), s.amps_a[states, m].tolist(), rows.tolist()):
+            if w := abs(z) ** 2:
+                terms[i].append(w * w * math.fsum(row))
+    return [math.fsum(t) for t in terms]
+
+
+def test_intercept_contributions_skip_only_exact_zeros():
+    # fsum of a row's nonzero terms is fsum of the row: the same bytes
+    sets = [build_symmetric(n) for n in (*range(3, 26), 64)]
+    sets += [build_3x3(random_parameters(np.random.default_rng(seed))) for seed in range(30)]
+    for s in sets:
+        result = exact_undetected_prob(s, "intercept")
+        old = _old_intercept_contributions(s)
+        assert result.contributions == tuple(old)
+        assert result.value == math.fsum(old) / len(s)
 
 
 def test_dimension_sweep_rows():
