@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import math
 import os
 import sys
@@ -124,26 +125,72 @@ def _cell(value) -> str:
     return "" if value is None else value if isinstance(value, str) else _fmt(value)
 
 
-def _round_blocks(size: int, columns: Sequence[np.ndarray], *lead: str) -> Iterator[list]:
-    """The cells of a transcript, CHUNK_ROUNDS rows at a time: the round
-    ids, each `lead` text on every row, then int or bool columns whose
-    entries lie in [0, size), or are -1 for an empty cell. Equal entries
-    share one string."""
-    table = np.array([*map(str, range(size)), ""], dtype=object)
+@functools.cache
+def _ascii_digits(count: int, width: int, pad: bool) -> np.ndarray:
+    """Column v of a read-only (width, count) uint8 table: v in ASCII digits,
+    aligned to the bottom, after zeros if `pad` and else after NUL bytes (0
+    is then the one digit 0)."""
+    places = 10 ** np.arange(width - 1, -1, -1)[:, None]
+    values = np.arange(count)
+    digits = (values // places % 10 + ord("0")).astype(np.uint8)
+    table = digits if pad else np.where((values < places) & (places > 1), 0, digits)
+    table.flags.writeable = False
+    return table
+
+
+_GROUP = 10_000  # round ids are written four digits at a time
+
+
+def _id_bytes(start: int, stop: int, out: np.ndarray) -> None:
+    """Write the round ids start .. stop-1 into the rows of `out`, one column
+    each, in ASCII after NUL bytes; `out` has four rows per group of four
+    digits. The highest group is written without leading zeros and the
+    others with them, so every id of a chunk must have more digits than the
+    groups below the highest hold: CHUNK_ROUNDS <= 9000 keeps it so."""
+    groups = len(out) // 4
+    carry, rest = np.arange(stop - start), start
+    for row in range(4 * groups - 4, -1, -4):
+        rest, low = divmod(rest, _GROUP)
+        value = carry + low
+        carry = value >= _GROUP
+        value -= _GROUP * carry
+        np.take(_ascii_digits(_GROUP, 4, pad=row > 0), value, axis=1, out=out[row:row + 4])
+    if groups > 1:
+        # The ids below 10^(4 (groups - 1)), a prefix of the chunk, have a
+        # highest group of 0, which is written as nothing.
+        out[3, :max(0, 10 ** (4 * groups - 4) - start)] = 0
+
+
+def _round_blocks(size: int, columns: Sequence[np.ndarray], *lead: str) -> Iterator[str]:
+    """The rows of a transcript as CSV text, CHUNK_ROUNDS rows at a time: the
+    round id, each `lead` text, then int or bool columns whose entries lie
+    in [0, size), or are -1 for an empty cell. A chunk is formed as one
+    uint8 block of fixed-width fields, a column per row, and the NUL
+    padding is dropped from its bytes."""
+    width = len(str(size - 1))
+    # -1 picks the empty last column.
+    cells = np.hstack([_ascii_digits(size, width, pad=False), np.zeros((width, 1), np.uint8)])
+    head = "".join("," + text for text in lead).encode("ascii")
+    tail = np.frombuffer(head + (b"," + bytes(width)) * len(columns) + b"\n", np.uint8)
     for start in range(0, len(columns[0]), CHUNK_ROUNDS):
-        ids = range(start, min(start + CHUNK_ROUNDS, len(columns[0])))
-        # repr of an int is its str, formed without a call to the str type
-        yield [list(map(repr, ids)), *([text] * len(ids) for text in lead),
-               *(table.take(column[ids.start:ids.stop]).tolist() for column in columns)]
+        stop = min(start + CHUNK_ROUNDS, len(columns[0]))
+        at = 4 * -(-len(str(stop - 1)) // 4)
+        block = np.empty((at + len(tail), stop - start), np.uint8)
+        _id_bytes(start, stop, block[:at])
+        block[at:] = tail[:, None]
+        at += len(head)
+        for column in columns:
+            np.take(cells, column[start:stop], axis=1, out=block[at + 1:at + 1 + width])
+            at += 1 + width
+        yield block.T.tobytes().translate(None, b"\0").decode("ascii")
 
 
-def _csv_text(headers: list[str], blocks: Iterable[list[list[str]]]) -> Iterator[str]:
-    """CSV text of a header line, then one line per row of each block of
-    equal-length, non-empty columns of cells. The cells written here
-    (numbers, strategy names, empty) never need quoting."""
+def _csv_text(headers: list[str], blocks: Iterable[str]) -> Iterator[str]:
+    """CSV text of a header line, then the blocks of rows, each already CSV
+    text ending in a newline. The cells written here (numbers, strategy
+    names, empty) never need quoting."""
     yield ",".join(headers) + "\n"
-    for columns in blocks:
-        yield "\n".join(map(",".join, zip(*columns))) + "\n"
+    yield from blocks
 
 
 def _emit(args, text: str) -> None:
@@ -193,6 +240,11 @@ def _key_material(key: np.ndarray, n_squared: int) -> tuple[int, str]:
     bit_count = int(math.floor(len(key) * math.log2(n_squared)))
     if bit_count == 0:
         return 0, ""
+    if n_squared & (n_squared - 1) == 0 and n_squared <= 1 << 16:
+        # The key bits are the labels' own bits, each label's low
+        # log2(n^2) bits in turn, read from two big-endian bytes a label.
+        bits = np.unpackbits(np.asarray(key, dtype=">u2").view(np.uint8).reshape(-1, 2), axis=1)
+        return bit_count, (bits[:, 16 - bit_count // len(key):] + ord("0")).tobytes().decode("ascii")
     value = _radix_value(np.asarray(key, dtype=np.int64), n_squared)
     return bit_count, format(value & ((1 << bit_count) - 1), f"0{bit_count}b")
 
@@ -215,7 +267,8 @@ def _radix_value(digits: np.ndarray, base: int) -> int:
         if len(values) % 2:
             values.insert(0, 0)
         values = [high * power + low for high, low in zip(values[::2], values[1::2])]
-        power *= power
+        if len(values) > 1:
+            power *= power
     return values[0]
 
 
@@ -316,11 +369,11 @@ def cmd_sweep(args) -> int:
         return 2
     seed = _resolve_seed(args)
     rows = dimension_sweep(args.max_dim, args.strategy, args.trials, seed, args.exact_budget)
-    table = [dataclasses.astuple(r) for r in rows]
+    lines = [",".join(map(_cell, dataclasses.astuple(r))) for r in rows]
     text = "".join(_csv_text(
         ["n", "strategy", "exact", "closed_form", "gap_to_half",
          "mc_estimate", "ci_low", "ci_high", "trials", "seed"],
-        [[list(map(_cell, column)) for column in zip(*table)]]))
+        ["\n".join(lines) + "\n"]))
     _emit(args, text)
     return 0
 
@@ -382,6 +435,7 @@ def _add_seed_arg(p: argparse.ArgumentParser) -> None:
                    help=f"random seed (default: ${SEED_ENV_VAR} or 0)")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="opqkd",

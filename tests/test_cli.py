@@ -800,7 +800,7 @@ def test_validate_decides_relabelled_symmetry_in_bounded_time(tmp_path, n, cells
 
 
 @settings(max_examples=150, deadline=None)
-@given(hst.sampled_from([9, 16, 25, 81, 625, 2**31 - 1]).flatmap(
+@given(hst.sampled_from([9, 16, 25, 64, 81, 256, 625, 1024, 4096, 2**31 - 1]).flatmap(
     lambda base: hst.tuples(hst.just(base), hst.lists(hst.integers(0, base - 1), max_size=90))))
 def test_key_material_matches_digit_by_digit_packing(case):
     base, digits = case
@@ -810,6 +810,44 @@ def test_key_material_matches_digit_by_digit_packing(case):
     bit_count = int(math.floor(len(digits) * math.log2(base))) if digits else 0
     expected = format(value & ((1 << bit_count) - 1), f"0{bit_count}b") if bit_count else ""
     assert cli._key_material(np.array(digits, dtype=np.int64), base) == (bit_count, expected)
+
+
+def _transcript_reference(headers, size, columns, lead):
+    lines = [",".join(headers)]
+    for round_id, row in enumerate(zip(*(column.tolist() for column in columns))):
+        cells = ("" if v == -1 else int(v) for v in row)
+        lines.append(",".join(map(str, (round_id, *lead, *cells))))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("size, lead", [(9, ()), (100, ("intercept-resend-conditional",)),
+                                        (4096, ("none", "x"))])
+@pytest.mark.parametrize("rounds", [0, 1, 10, 11, 100, 8192, 8193, 10000, 10001, 100001])
+def test_transcript_text_matches_a_per_row_reference(size, lead, rounds):
+    rng = np.random.default_rng(rounds)
+    labels = rng.integers(0, size, rounds)
+    columns = (labels, rng.integers(-1, size, rounds), rng.random(rounds) < 0.5,
+               np.where(labels % 3 == 0, -1, labels % 2 == 0))
+    headers = ["round_id", *(f"lead{k}" for k in range(len(lead))), "a", "b", "c", "d"]
+    text = "".join(cli._csv_text(headers, cli._round_blocks(size, columns, *lead)))
+    expected = _transcript_reference(headers, size, columns, lead)
+    if text != expected:  # name the first differing line, not a diff of the whole file
+        lines = zip(text.splitlines(keepends=True), expected.splitlines(keepends=True))
+        pytest.fail(f"first differing line: {next((p for p in lines if p[0] != p[1]), 'none')}")
+
+
+@pytest.mark.parametrize("start", [0, 1808, 9990, 10**5 - 8000, 10**6 - 4000, 10**7 - 8191,
+                                   13_421_000, 10**8 - 100, 10**12 - 9000])
+def test_round_ids_are_written_across_digit_boundaries(start):
+    stop = start + cli.CHUNK_ROUNDS
+    out = np.empty((4 * -(-len(str(stop - 1)) // 4), stop - start), np.uint8)
+    cli._id_bytes(start, stop, out)
+    ids = [column.tobytes().lstrip(b"\0").decode("ascii") for column in out.T]
+    assert ids == list(map(str, range(start, stop)))
+
+
+def test_the_parser_is_built_once():
+    assert cli._build_parser() is cli._build_parser()
 
 
 @pytest.mark.parametrize("argv", [
